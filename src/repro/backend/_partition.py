@@ -55,26 +55,21 @@ def searchsorted_rows_right(
 
     ``table_rows`` is ``(C, M)``, every row sorted ascending;
     ``targets`` is ``(K, T)`` and ``row_of[k]`` names the table row the
-    ``k``-th target row searches.  A vectorised binary search over all
-    targets at once — integer-exact, so results equal
+    ``k``-th target row searches.  Each run of consecutive target rows
+    that search the same table row is one ``np.searchsorted`` call on a
+    slice, so a sorted ``row_of`` (every caller's case order) costs one
+    call per distinct table row; the results equal
     ``np.searchsorted(table_rows[row_of[k]], targets[k], "right")`` per
-    row, with no Python loop over rows.
+    row for any ``row_of``.
     """
-    n_cols = table_rows.shape[1]
-    flat = table_rows.reshape(-1)
-    base = (row_of * n_cols)[:, None]
-    lo = np.zeros(targets.shape, dtype=np.int64)
-    hi = np.full(targets.shape, n_cols, dtype=np.int64)
-    open_mask = lo < hi
-    while open_mask.any():
-        # Closed lanes keep lo == hi (possibly n_cols); park their
-        # gather at 0 so the flat read stays in bounds.
-        mid = np.where(open_mask, (lo + hi) >> 1, 0)
-        advance = open_mask & (flat[base + mid] <= targets)
-        lo = np.where(advance, mid + 1, lo)
-        hi = np.where(open_mask & ~advance, mid, hi)
-        open_mask = lo < hi
-    return lo
+    bound = np.empty(targets.shape, dtype=np.int64)
+    edges = (np.flatnonzero(row_of[1:] != row_of[:-1]) + 1).tolist()
+    runs = [0, *edges, row_of.size] if row_of.size else []
+    for lo, hi in zip(runs, runs[1:]):
+        bound[lo:hi] = table_rows[row_of[lo]].searchsorted(
+            targets[lo:hi], side="right"
+        )
+    return bound
 
 
 def prefix_table_np(rows: np.ndarray) -> np.ndarray:

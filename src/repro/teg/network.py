@@ -36,16 +36,9 @@ from repro.backend import (
     prefix_table,
     segmented_pairwise_sum,
 )
+from repro.backend._partition import _index_arange, _lift_plan
 from repro.errors import ConfigurationError
 from repro.teg.module import MPPPoint
-
-
-@lru_cache(maxsize=128)
-def _index_arange(n: int) -> np.ndarray:
-    """A shared, read-only ``arange(n)`` (hot-path index scaffolding)."""
-    indices = np.arange(n, dtype=np.int64)
-    indices.setflags(write=False)
-    return indices
 
 
 @lru_cache(maxsize=128)
@@ -64,20 +57,6 @@ def _window_layout(
         array.setflags(write=False)
     return counts, offsets, mask
 
-
-@lru_cache(maxsize=128)
-def _lift_plan(n_max: int) -> Tuple[Tuple[int, np.ndarray], ...]:
-    """Binary-lifting schedule: per bit, the read-only column indices
-    (iterate numbers ``j < n_max`` with that bit set)."""
-    j_index = _index_arange(n_max)
-    plan = []
-    bit = 1
-    while bit < n_max:
-        columns = j_index[(j_index & bit) != 0]
-        columns.setflags(write=False)
-        plan.append((bit, columns))
-        bit <<= 1
-    return tuple(plan)
 
 __all__ = [
     "PartitionSet",
@@ -162,10 +141,12 @@ def greedy_balanced_partition(mpp_currents: np.ndarray, n_groups: int) -> np.nda
       arithmetic but rounds mathematical ties differently (uniform
       module currents being the practical case), which is why the
       prefix form is canonical on this branch.
-    * **Windows containing back-biased modules** (negative currents)
-      fall back to the classic accumulation walk, whose
-      stop-at-first-error-increase behaviour is the reference there —
-      and :func:`partition_multi` delegates to it verbatim.
+    * **Windows containing back-biased modules** (negative or NaN
+      currents) take the classic accumulation walk, whose
+      stop-at-first-error-increase behaviour is the reference there;
+      :func:`partition_multi` and :func:`partition_multi_stack` run it
+      for every candidate at once as lockstep lanes, with the same
+      per-lane operation sequence.
 
     Returns
     -------
@@ -263,21 +244,6 @@ def _greedy_accumulation_walk(
         pos = cut
 
 
-def _accumulation_walk_multi(
-    currents: np.ndarray, counts: np.ndarray
-) -> np.ndarray:
-    """All candidates' accumulation walks, advanced in lockstep.
-
-    The candidate-vectorised twin of :func:`_greedy_accumulation_walk`
-    for one current vector; delegates to the row-aware
-    :func:`_accumulation_walk_rows` with every lane reading row 0.
-    """
-    rows = np.ascontiguousarray(currents, dtype=float)[None, :]
-    return _accumulation_walk_rows(
-        rows, np.zeros(counts.size, dtype=np.int64), counts
-    )
-
-
 def _accumulation_walk_rows(
     currents_rows: np.ndarray, row_of: np.ndarray, counts: np.ndarray
 ) -> np.ndarray:
@@ -285,61 +251,49 @@ def _accumulation_walk_rows(
 
     Every lane is one ``(current vector, group count)`` candidate:
     lane ``k`` walks row ``row_of[k]`` of ``currents_rows`` building a
-    ``counts[k]``-group partition.  Each lane keeps its own
-    ``(position, cut, group sum, best error)`` state, and each
-    iteration either extends the open group by one module or closes it
-    and re-seeds — exactly the scalar walk's per-candidate operation
-    sequence, so each lane's IEEE arithmetic (and therefore every cut
-    index) is bit-identical to running
-    :func:`_greedy_accumulation_walk` on its row.  The Python loop
-    count collapses from O(sum over lanes of walk steps) to O(longest
-    single walk): lanes of *different* rows — e.g. every back-biased
-    case of a stacked grid — advance together.
+    ``counts[k]``-group partition.  Extending the open group and
+    closing it to re-seed the next both advance a walk by exactly one
+    module, so at step ``i`` every lane examines module ``i`` and the
+    walks run as one branch-free pass over the module axis of an
+    ``(N, lanes)`` column matrix.  Per step, every lane at once either
+    extends (``group_sum + c``, kept while the error does not rise and
+    the tail clamp ``i < N - n + slot`` leaves room) or closes its
+    group at ``i`` and re-seeds it with ``c``.  Each lane performs the
+    IEEE operations of :func:`_greedy_accumulation_walk` in the same
+    order, so every cut index is bit-identical to the scalar walk on
+    its row; a NaN error compares false and closes the group, as
+    there.
 
-    Returns the dense ``(n_lanes, max(counts))`` cut matrix (column 0
-    is the mandatory leading zero; columns at or beyond a lane's count
-    are unused).
+    Returns the flat cuts, lane after lane: ``counts[k]`` ascending
+    group starts per lane, the leading zero included.
     """
     n_modules = currents_rows.shape[1]
-    n_lanes = counts.size
-    flat = currents_rows.reshape(-1)
-    base = row_of * n_modules
-    cuts = np.zeros((n_lanes, int(counts.max())), dtype=np.int64)
+    # columns[i, k]: module i's current on lane k's row.
+    columns = currents_rows.T.take(row_of, axis=1)
     # Contiguous-row pairwise sums match each lane's float(row.sum()).
     ideals = currents_rows.sum(axis=1)[row_of] / counts
-    # Lane state: next start slot to fill, last cut (group origin), the
-    # probing cut, the open group's sum and its best error so far.
-    slot = np.ones(n_lanes, dtype=np.int64)
-    pos = np.zeros(n_lanes, dtype=np.int64)
-    cut = np.ones(n_lanes, dtype=np.int64)
-    group_sum = flat[base]
-    best_err = np.abs(group_sum - ideals)
-    active = slot < counts
-    while active.any():
-        live = np.flatnonzero(active)
-        max_cut = n_modules - (counts[live] - slot[live])
-        extendable = cut[live] < max_cut
-        probing = live[extendable]
-        extended = group_sum[probing] + flat[base[probing] + cut[probing]]
-        err = np.abs(extended - ideals[probing])
-        better = err <= best_err[probing]
-        grow = probing[better]
-        group_sum[grow] = extended[better]
-        best_err[grow] = err[better]
-        cut[grow] += 1
-        # A lane closes its group when the error rose (the walk's
-        # stop-at-first-increase) or the tail clamp binds.
-        close = np.concatenate((live[~extendable], probing[~better]))
-        if close.size:
-            cuts[close, slot[close]] = cut[close]
-            pos[close] = cut[close]
-            slot[close] += 1
-            active[close] = slot[close] < counts[close]
-            reseed = close[active[close]]
-            group_sum[reseed] = flat[base[reseed] + pos[reseed]]
-            cut[reseed] = pos[reseed] + 1
-            best_err[reseed] = np.abs(group_sum[reseed] - ideals[reseed])
-    return cuts
+    # A group seeded at module i starts with error |c_i - ideal|.
+    seed_err = np.abs(columns - ideals)
+    # closes[i, k]: lane k starts a group at module i (module 0 always).
+    closes = np.empty(columns.shape, dtype=bool)
+    closes[0] = True
+    group_sum = columns[0]
+    best_err = seed_err[0]
+    # The tail clamp: a lane may extend at step i only while
+    # i < N - n + slot, and every close fills one more slot.
+    limit = n_modules - counts + 1
+    for i in range(1, n_modules):
+        current = columns[i]
+        extended = group_sum + current
+        err = np.abs(extended - ideals)
+        grow = (err <= best_err) & (i < limit)
+        group_sum = np.where(grow, extended, current)
+        best_err = np.where(grow, err, seed_err[i])
+        np.logical_not(grow, out=closes[i])
+        limit += closes[i]
+    # A finished lane walks on; its first counts[k] closes are its cuts.
+    closes &= np.cumsum(closes, axis=0) <= counts
+    return np.nonzero(closes.T)[1]
 
 
 @dataclass(frozen=True)
@@ -426,9 +380,12 @@ def partition_multi(
     Cut indices are bit-identical to running the scalar walk per
     candidate (pinned in the parity suite).  The cumulative-prefix
     shortcut requires the group sums to grow monotonically, i.e.
-    non-negative MPP currents; windows containing back-biased modules
-    (negative EMF) fall back to the scalar walk per candidate, whose
-    first-local-minimum semantics are the reference.
+    non-negative MPP currents.  Windows containing back-biased modules
+    (negative EMF) or NaN currents keep the accumulation walk's
+    first-local-minimum semantics instead: every candidate walks as
+    one lane of a single branch-free pass over the module axis
+    (:func:`_accumulation_walk_rows`), bit-identical per lane to
+    :func:`_greedy_accumulation_walk`.
 
     Returns
     -------
@@ -457,10 +414,10 @@ def partition_multi(
         # walk's stop-at-first-error-increase rule is the reference
         # behaviour and cannot be expressed as a prefix search — but
         # all candidates' walks advance together in lockstep lanes.
-        cuts = _accumulation_walk_multi(currents, counts)
-        return PartitionSet(
-            cat=cuts[ragged_mask], offsets=offsets, n_modules=n_modules
+        cat = _accumulation_walk_rows(
+            currents[None, :], np.zeros(counts.size, dtype=np.int64), counts
         )
+        return PartitionSet(cat=cat, offsets=offsets, n_modules=n_modules)
 
     # prefix[c] = sum(currents[:c]); the walk's group sum for a cut at
     # ``c`` with the group starting at ``pos`` is prefix[c] - prefix[pos].
@@ -586,15 +543,16 @@ def partition_multi_stack(
     currents and ``n_min`` / ``n_max`` per-case group-count windows
     (scalars broadcast), and the prefix-bracket cut map, flat-run
     extension, binary lifting and tail clamp all run across every
-    candidate of every case at once — one row-wise binary search
-    replaces the per-case ``searchsorted``.  Cut indices are
+    candidate of every case at once — one ``searchsorted`` per case
+    row serves all of that case's candidates.  Cut indices are
     **bit-identical** per case to ``partition_multi(rows[c],
     n_min[c], n_max[c])`` (pinned in the parity suite): the stacked map
     evaluates the same expression tree on the same doubles, merely
     batched over a leading case axis.  Cases containing back-biased
-    modules (negative currents) take the accumulation-walk reference
-    path, like :func:`partition_multi` — but all such cases' lanes
-    advance through one row-aware lockstep walk together.
+    modules (negative or NaN currents) take the accumulation-walk
+    reference path, like :func:`partition_multi`: every candidate of
+    every such case is one lane of the same branch-free pass over the
+    module axis (:func:`_accumulation_walk_rows`).
 
     The three array stages of the build — prefix construction, the
     next-cut map and the lifting iteration — execute through the
@@ -657,17 +615,16 @@ def partition_multi_stack(
             nxt, counts_all[pos_sel], n_lift, backend=backend
         )
 
-    neg_sel = np.flatnonzero(~monotone_rows[case_of_cand])
-    if neg_sel.size:
+    ragged_mask = _index_arange(n_lift)[None, :] < counts_all[:, None]
+    walk_cand = ~monotone_rows[case_of_cand]
+    if walk_cand.any():
         # Back-biased cases: one lockstep walk advances every affected
         # candidate of every such case together (the walk lanes are
         # row-aware, so no per-case Python here either).
-        walk = _accumulation_walk_rows(
-            rows, case_of_cand[neg_sel], counts_all[neg_sel]
+        cuts[ragged_mask & walk_cand[:, None]] = _accumulation_walk_rows(
+            rows, case_of_cand[walk_cand], counts_all[walk_cand]
         )
-        cuts[neg_sel, : walk.shape[1]] = walk
 
-    ragged_mask = _index_arange(n_lift)[None, :] < counts_all[:, None]
     return PartitionStack(
         cat=cuts[ragged_mask],
         offsets=offsets_all,

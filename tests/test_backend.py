@@ -29,6 +29,7 @@ from repro.backend import (
     prefix_table,
     segmented_pairwise_sum,
 )
+from repro.backend._partition import searchsorted_rows_right
 from repro.errors import ConfigurationError
 
 
@@ -172,6 +173,50 @@ class TestBackendRegistry:
 
     def test_backend_names_cover_factories(self):
         assert set(BACKEND_NAMES) == {"numpy", "numba", "cupy"}
+
+
+class TestSearchsortedRowsRight:
+    """The next-cut map's row-wise search against a per-row
+    ``np.searchsorted(side="right")`` oracle."""
+
+    @staticmethod
+    def _table(rng):
+        # Zero currents make flat runs in the prefix rows; the next-cut
+        # map searches them padded with +inf.
+        rows = rng.uniform(0.0, 1.0, (6, 30))
+        rows[rows < 0.3] = 0.0
+        return np.concatenate(
+            (prefix_table(rows), np.full((6, 1), np.inf)), axis=1
+        )
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("layout", ["sorted", "shuffled"])
+    def test_matches_per_row_oracle(self, seed, layout):
+        rng = np.random.default_rng(seed)
+        table = self._table(rng)
+        row_of = rng.integers(0, table.shape[0], size=40)
+        if layout == "sorted":
+            row_of.sort()
+        # Targets equal to table entries of the searched row (flat-run
+        # values and +inf included), values between them, below the
+        # first entry and past the last finite one.
+        picks = table[row_of[:, None], rng.integers(0, 32, (40, 25))]
+        step = rng.choice([0.0, 0.0, -1e-3, 0.3, -2.0, 50.0], (40, 25))
+        targets = picks + step
+        want = np.stack(
+            [np.searchsorted(table[r], t, side="right")
+             for r, t in zip(row_of, targets)]
+        )
+        got = searchsorted_rows_right(table, row_of, targets)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+    def test_no_target_rows(self):
+        table = self._table(np.random.default_rng(3))
+        got = searchsorted_rows_right(
+            table, np.zeros(0, dtype=np.int64), np.empty((0, 31))
+        )
+        assert got.shape == (0, 31)
 
 
 @pytest.mark.parametrize("name", ["numba", "cupy"])

@@ -227,17 +227,24 @@ class TestDecisionKernelParity:
             assert batched.n_range == scalar.n_range
             assert batched.candidates_evaluated == scalar.candidates_evaluated
 
-    def test_partition_multi_cuts_on_fuzz_vectors(self):
+    def test_partition_multi_cuts_on_fuzz_vectors(self, walk_edge_currents):
         """Seeded fuzz EMF/resistance vectors, full [1, N] windows,
-        including dead (zero-EMF) and back-biased modules."""
+        including dead (zero-EMF) and back-biased modules, plus the
+        accumulation walk's edge cases (signed zeros beside negatives,
+        NaN, all-negative rows, N = 400, a mid-walk tail clamp and
+        sub-ulp ties)."""
         rng = np.random.default_rng(2018)
+        vectors = []
         for _ in range(40):
             n = int(rng.integers(1, 48))
             emf = rng.uniform(0.0, 3.0, n)
             if rng.uniform() < 0.3:
                 emf[rng.integers(0, n, size=max(1, n // 6))] *= -1.0
             res = rng.uniform(0.4, 3.0, n)
-            currents = emf / (2.0 * res)
+            vectors.append(emf / (2.0 * res))
+        vectors.extend(walk_edge_currents.values())
+        for currents in vectors:
+            n = currents.size
             ps = partition_multi(currents, 1, n)
             for k, n_groups in enumerate(range(1, n + 1)):
                 ref = greedy_balanced_partition(currents, n_groups)

@@ -389,6 +389,32 @@ class TestStackedKernels:
             assert np.array_equal(case_set.cat, per_case.cat)
             assert np.array_equal(case_set.offsets, per_case.offsets)
 
+    def test_mixed_stacks_pinned_to_scalar_walk(self, walk_edge_currents):
+        """Monotone rows on random windows beside every 34-module walk
+        edge case on its full window, and the 400-module chain beside
+        its mirror and its monotone twin: every candidate pinned to the
+        scalar oracle."""
+        edge = [v for v in walk_edge_currents.values() if v.size == 34]
+        rng = np.random.default_rng(34)
+        monotone = rng.uniform(0.0, 1.0, (len(edge), 34))
+        monotone[0, 4:9] = 0.0  # a zero-current flat run
+        rows = np.stack([r for pair in zip(monotone, edge) for r in pair])
+        n_min = rng.integers(1, 35, rows.shape[0])
+        n_max = np.array([rng.integers(lo, 35) for lo in n_min])
+        n_min[1::2], n_max[1::2] = 1, 34
+        long = walk_edge_currents["long"]
+        stacks = [
+            (rows, n_min, n_max),
+            (np.stack((np.abs(long), long, long[::-1])), [180] * 3, [220] * 3),
+        ]
+        for rows, n_min, n_max in stacks:
+            stack = network.partition_multi_stack(rows, n_min, n_max)
+            for c, row in enumerate(rows):
+                case_set = stack.case(c)
+                for k, n_groups in enumerate(range(n_min[c], n_max[c] + 1)):
+                    want = network.greedy_balanced_partition(row, n_groups)
+                    assert np.array_equal(case_set[k], want), (c, n_groups)
+
     def test_case_accepts_negative_index(self):
         rows = self._rows(4)
         stack = network.partition_multi_stack(rows, 1, rows.shape[1])
