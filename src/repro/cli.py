@@ -41,7 +41,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro._about import PAPER_ARXIV, PAPER_TITLE, PAPER_VENUE, __version__
-from repro.core.inor import inor, parse_inor_kernel
+from repro.core.inor import INOR_KERNELS, inor
 from repro.core.period_tradeoff import sweep_fixed_period
 from repro.power.charger import TEGCharger
 from repro.errors import TegkitError
@@ -66,13 +66,13 @@ from repro.teg.datasheet import MODULE_CATALOG, get_module
 from repro.vehicle.trace_io import save_trace
 
 
-def _kernel_arg(value: str) -> str:
-    """argparse type for ``--kernel``: any ``parse_inor_kernel`` spelling."""
-    try:
-        parse_inor_kernel(value)
-    except TegkitError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    return value
+def _add_kernel_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--kernel",
+        choices=INOR_KERNELS,
+        default="batched",
+        help="INOR candidate kernel (bit-identical results; batched is faster)",
+    )
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
@@ -490,17 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     recon.add_argument("--dt-peak", type=float, default=67.0, dest="dt_peak")
     recon.add_argument("--dt-floor", type=float, default=12.0, dest="dt_floor")
     recon.add_argument("--steepness", type=float, default=2.2)
-    recon.add_argument(
-        "--kernel",
-        type=_kernel_arg,
-        default="batched",
-        metavar="KERNEL",
-        help=(
-            "INOR candidate kernel: 'batched', 'scalar', or "
-            "'batched:<backend>' naming an array backend "
-            "(bit-identical results; batched is faster)"
-        ),
-    )
+    _add_kernel_arg(recon)
     recon.set_defaults(handler=_cmd_reconfigure)
 
     simulate = sub.add_parser(
@@ -516,17 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument(
         "--save-trace", default=None, help="also write the trace CSV here"
     )
-    simulate.add_argument(
-        "--kernel",
-        type=_kernel_arg,
-        default="batched",
-        metavar="KERNEL",
-        help=(
-            "INOR candidate kernel: 'batched', 'scalar', or "
-            "'batched:<backend>' naming an array backend "
-            "(bit-identical results; batched is faster)"
-        ),
-    )
+    _add_kernel_arg(simulate)
     simulate.set_defaults(handler=_cmd_simulate)
 
     batch = sub.add_parser(
@@ -577,17 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="cache_dir",
         help="on-disk physics cache shared across cases, workers and runs",
     )
-    batch.add_argument(
-        "--kernel",
-        type=_kernel_arg,
-        default="batched",
-        metavar="KERNEL",
-        help=(
-            "INOR candidate kernel: 'batched', 'scalar', or "
-            "'batched:<backend>' naming an array backend "
-            "(bit-identical results; batched is faster)"
-        ),
-    )
+    _add_kernel_arg(batch)
     batch.set_defaults(handler=_cmd_batch)
 
     shard = sub.add_parser(
@@ -617,17 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     shard_init.add_argument(
         "--modules", type=int, default=None, help="override chain length N"
     )
-    shard_init.add_argument(
-        "--kernel",
-        type=_kernel_arg,
-        default="batched",
-        metavar="KERNEL",
-        help=(
-            "INOR candidate kernel: 'batched', 'scalar', or "
-            "'batched:<backend>' naming an array backend "
-            "(bit-identical results; batched is faster)"
-        ),
-    )
+    _add_kernel_arg(shard_init)
     shard_init.add_argument(
         "--no-warm",
         action="store_true",

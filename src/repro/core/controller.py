@@ -24,7 +24,7 @@ import numpy as np
 from repro.core.config import ArrayConfiguration
 from repro.core.dnor import DNORDecision, DNORPlanner, thevenin_from_temps
 from repro.core.ehtr import ehtr
-from repro.core.inor import inor, parse_inor_kernel
+from repro.core.inor import check_inor_kernel, inor
 from repro.errors import ConfigurationError
 from repro.power.charger import TEGCharger
 from repro.teg.model import ModuleModel
@@ -104,9 +104,7 @@ class PeriodicPolicy(ReconfigurationPolicy):
         prior work) ignores it by design.
     kernel:
         INOR candidate-evaluation kernel (``"batched"`` — the default
-        fast path — the ``"scalar"`` reference loop, or
-        ``"batched:<backend>"`` naming the :mod:`repro.backend`
-        implementation of the segmented reductions); bit-identical
+        fast path — or the ``"scalar"`` reference loop); bit-identical
         decisions either way.  EHTR ignores it.
     """
 
@@ -124,7 +122,7 @@ class PeriodicPolicy(ReconfigurationPolicy):
             )
         if period_s <= 0.0:
             raise ConfigurationError(f"period_s must be > 0, got {period_s}")
-        parse_inor_kernel(kernel)  # name validation only; fails loudly here
+        check_inor_kernel(kernel)
         self._module = module
         self._algorithm = algorithm
         self._period_s = float(period_s)

@@ -35,7 +35,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.config import ArrayConfiguration
-from repro.core.inor import _inor_stack_raw, inor, parse_inor_kernel
+from repro.core.inor import _inor_stack_raw, check_inor_kernel, inor
 from repro.core.overhead import SwitchingOverheadModel
 from repro.errors import ConfigurationError, PredictionError
 from repro.power.charger import TEGCharger
@@ -132,10 +132,9 @@ class DNORPlanner:
         (the default) keeps the measured-runtime behaviour.
     inor_kernel:
         Candidate-evaluation kernel forwarded to :func:`inor` for the
-        per-epoch proposal — ``"batched"`` (default), ``"scalar"``, or
-        ``"batched:<backend>"`` naming a :mod:`repro.backend`
-        implementation.  Bit-identical results either way; the scalar
-        kernel exists for cross-validation and profiling.
+        per-epoch proposal — ``"batched"`` (default) or ``"scalar"``.
+        Bit-identical results either way; the scalar kernel exists for
+        cross-validation and profiling.
     refit:
         Predictor refit strategy per epoch.  ``"full"`` (default)
         refits from scratch on the strided history — the behaviour
@@ -175,7 +174,7 @@ class DNORPlanner:
             raise ConfigurationError(
                 f"fit_module_stride must be >= 1, got {fit_module_stride}"
             )
-        parse_inor_kernel(inor_kernel)  # name validation only
+        check_inor_kernel(inor_kernel)
         if refit not in self.REFIT_MODES:
             raise ConfigurationError(
                 f"refit must be one of {self.REFIT_MODES}, got {refit!r}"
@@ -612,8 +611,7 @@ def dnor_stack(
             f"{n_lanes} planners"
         )
     ref = planners[0]
-    mode, backend = parse_inor_kernel(ref.inor_kernel)
-    if mode != "batched":
+    if ref.inor_kernel != "batched":
         raise ConfigurationError(
             "dnor_stack requires the batched INOR kernel; the scalar "
             "reference loop has no stacked form"
@@ -637,7 +635,7 @@ def dnor_stack(
             raise ConfigurationError(
                 "dnor_stack lanes must share the module parameters, the "
                 "horizon geometry (tp_seconds, sample_dt_s) and the INOR "
-                "kernel spec"
+                "kernel"
             )
     if new_rows is None:
         new_rows = [None] * n_lanes
@@ -669,7 +667,7 @@ def dnor_stack(
     # (bit-identical per lane to inor(), via the inor_stack parity pin).
     t0 = time.perf_counter()
     stack, _, _, _, _, winners, _, _ = _inor_stack_raw(
-        emf_rows, resistance, ref._charger, 0.03, backend
+        emf_rows, resistance, ref._charger, 0.03
     )
     generation_seconds = (time.perf_counter() - t0) / n_lanes
     proposals: list = []

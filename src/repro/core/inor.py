@@ -46,7 +46,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.backend import BACKEND_NAMES, available_backends
 from repro.core.config import ArrayConfiguration
 from repro.errors import ConfigurationError
 from repro.power.charger import TEGCharger
@@ -63,12 +62,12 @@ from repro.teg.network import (
 __all__ = [
     "INOR_KERNELS",
     "InorResult",
+    "check_inor_kernel",
     "converter_aware_group_range",
     "converter_aware_group_range_rows",
     "greedy_balanced_partition",
     "inor",
     "inor_stack",
-    "parse_inor_kernel",
 ]
 
 #: Valid values of the :func:`inor` ``kernel`` argument.  ``"batched"``
@@ -81,36 +80,13 @@ __all__ = [
 INOR_KERNELS = ("batched", "scalar")
 
 
-def parse_inor_kernel(kernel: str) -> Tuple[str, Optional[str]]:
-    """Split an INOR kernel spec into ``(mode, backend)``.
-
-    Accepted spellings: ``"batched"``, ``"scalar"``, or
-    ``"batched:<backend>"`` where ``<backend>`` names a
-    :mod:`repro.backend` implementation executing the segmented
-    reductions (e.g. ``"batched:numba"``).  Only the *names* are
-    validated here — cheap enough for policy constructors — while
-    backend availability (wheel installed, device present, parity probe
-    passed) is checked at use time by :func:`repro.backend.get_backend`,
-    which raises :class:`repro.backend.BackendUnavailableError` rather
-    than silently substituting NumPy.
-    """
-    spec = str(kernel)
-    mode, sep, backend = spec.partition(":")
-    if mode not in INOR_KERNELS or (sep and mode != "batched"):
+def check_inor_kernel(kernel: str) -> str:
+    """Return ``kernel`` if it is one of :data:`INOR_KERNELS`, else raise."""
+    if kernel not in INOR_KERNELS:
         raise ConfigurationError(
-            f"kernel must be one of {INOR_KERNELS} or 'batched:<backend>', "
-            f"got {kernel!r}"
+            f"kernel must be one of {INOR_KERNELS}, got {kernel!r}"
         )
-    if not sep:
-        return mode, None
-    if backend not in BACKEND_NAMES:
-        usable = available_backends()
-        raise ConfigurationError(
-            f"unknown backend {backend!r} in kernel spec {kernel!r} "
-            f"(known: {', '.join(BACKEND_NAMES)}; available on this "
-            f"host: {', '.join(usable) if usable else 'none'})"
-        )
-    return mode, backend
+    return kernel
 
 
 @dataclass(frozen=True)
@@ -212,7 +188,6 @@ def _score_candidates_batched(
     resistance: np.ndarray,
     candidates: list,
     charger: Optional[TEGCharger],
-    backend: Optional[str] = None,
 ) -> Tuple[int, MPPPoint, float]:
     """Score the whole candidate window in one vectorised pass.
 
@@ -228,7 +203,7 @@ def _score_candidates_batched(
     construction.
     """
     power, voltage, current = array_mpp_multi(
-        emf, resistance, candidates, validate=False, backend=backend
+        emf, resistance, candidates, validate=False
     )
     if charger is not None:
         scores = charger.delivered_batch(power, voltage)
@@ -276,16 +251,14 @@ def inor(
         ``array_mpp`` per group count).  The two are bit-identical —
         same cut indices, same MPPs, same ranking (pinned in the test
         suite) — so the kernel is a speed choice, never a results
-        choice.  The ``"batched:<backend>"`` spelling additionally
-        names the :mod:`repro.backend` implementation executing the
-        segmented reductions (see :func:`parse_inor_kernel`).
+        choice.
 
     Raises
     ------
     ConfigurationError
         If the explicit range or the kernel name is inconsistent.
     """
-    mode, backend = parse_inor_kernel(kernel)
+    check_inor_kernel(kernel)
     emf = np.asarray(emf, dtype=float)
     resistance = np.asarray(resistance, dtype=float)
     if emf.shape != resistance.shape or emf.ndim != 1 or emf.size == 0:
@@ -309,10 +282,10 @@ def inor(
         )
 
     mpp_currents = emf / (2.0 * resistance)
-    if mode == "batched":
+    if kernel == "batched":
         candidates = partition_multi(mpp_currents, lo, hi)
         best_index, best_mpp, best_score = _score_candidates_batched(
-            emf, resistance, candidates, charger, backend=backend
+            emf, resistance, candidates, charger
         )
     else:
         candidates = [
@@ -376,7 +349,6 @@ def _inor_stack_raw(
     resistance: np.ndarray,
     charger: Optional[TEGCharger],
     efficiency_drop: float,
-    backend: Optional[str],
 ):
     """The fused INOR grid pass, returning flat kernel-layer arrays.
 
@@ -394,11 +366,9 @@ def _inor_stack_raw(
     )
 
     mpp_current_rows = emf_rows / (2.0 * resistance)
-    stack = partition_multi_stack(
-        mpp_current_rows, n_mins, n_maxs, backend=backend
-    )
+    stack = partition_multi_stack(mpp_current_rows, n_mins, n_maxs)
     power, voltage, current = array_mpp_multi_stack(
-        emf_rows, resistance, stack, backend=backend
+        emf_rows, resistance, stack
     )
     if charger is not None:
         scores = charger.delivered_batch(power, voltage)
@@ -421,7 +391,6 @@ def inor_stack(
     resistance: np.ndarray,
     charger: Optional[TEGCharger] = None,
     efficiency_drop: float = 0.03,
-    backend: Optional[str] = None,
 ) -> Tuple[InorResult, ...]:
     """Run Algorithm 1 for a whole homogeneous case grid at once.
 
@@ -451,7 +420,7 @@ def inor_stack(
             f"(N,) resistance, got {emf_rows.shape} and {resistance.shape}"
         )
     stack, power, voltage, current, scores, winners, n_mins, n_maxs = (
-        _inor_stack_raw(emf_rows, resistance, charger, efficiency_drop, backend)
+        _inor_stack_raw(emf_rows, resistance, charger, efficiency_drop)
     )
     n_cases, n_modules = emf_rows.shape
     widths = np.diff(stack.case_offsets)

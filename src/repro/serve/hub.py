@@ -23,8 +23,8 @@ epoch r's committed configuration and predictor-stream refit;
 online log byte-equal to the inline one.
 
 Sessions stack only when their decision inputs are interchangeable —
-same module electrical identity, array size, converter curve and
-kernel backend (plus, for DNOR, the same horizon geometry).
+same module electrical identity, array size and converter curve
+(plus, for DNOR, the same horizon geometry).
 Incompatible sessions still work; they just land in separate groups
 (each its own stacked pass).  Inline-policy sessions (EHTR, Baseline,
 scalar-kernel INOR, measured-compute DNOR) never queue pending work
@@ -39,7 +39,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.core.dnor import dnor_stack
-from repro.core.inor import inor_stack, parse_inor_kernel
+from repro.core.inor import inor_stack
 from repro.errors import ConfigurationError
 from repro.serve.session import DecisionRecord, StreamSession
 
@@ -70,25 +70,23 @@ class HubStats:
 def _stack_key(session: StreamSession) -> Tuple:
     """Hashable stacking identity: one key, one ``inor_stack`` stream."""
     scenario = session.scenario
-    _, backend = parse_inor_kernel(scenario.inor_kernel)
     return (
         int(scenario.n_modules),
         scenario.module,
         scenario.make_charger(with_battery=False).converter,
-        backend,
     )
 
 
 def _dnor_stack_key(session: StreamSession) -> Tuple:
     """Stacking identity for DNOR epoch rounds: the ``dnor_stack``
-    homogeneity contract — shared module electricals, converter, kernel
-    spec and horizon geometry."""
+    homogeneity contract — shared module electricals, converter and
+    horizon geometry (micro-batched DNOR sessions all run the batched
+    INOR kernel)."""
     scenario = session.scenario
     return (
         int(scenario.n_modules),
         scenario.module,
         scenario.make_charger(with_battery=False).converter,
-        scenario.inor_kernel,
         float(scenario.tp_seconds),
         float(scenario.trace.dt_s),
     )
@@ -162,7 +160,7 @@ class SessionHub:
             for sid, new_records in self._run_dnor_rounds(members).items():
                 emitted.setdefault(sid, []).extend(new_records)
         for key, members in groups.items():
-            n_modules, module, _converter, backend = key
+            n_modules, module, _converter = key
             counts = [len(s.pending) for s in members]
             emf_rows = np.vstack(
                 [p.emf_row for s in members for p in s.pending]
@@ -171,9 +169,7 @@ class SessionHub:
             # the module model's nominal chain resistance.
             resistance = np.full(int(n_modules), module.internal_resistance())
             charger = members[0].scenario.make_charger(with_battery=False)
-            results = inor_stack(
-                emf_rows, resistance, charger=charger, backend=backend
-            )
+            results = inor_stack(emf_rows, resistance, charger=charger)
             self._stats.stacked_passes += 1
             self._stats.rows_decided += emf_rows.shape[0]
             self._stats.max_rows_per_pass = max(
@@ -246,13 +242,11 @@ class SessionHub:
         if not session.pending:
             return []
         key = _stack_key(session)
-        n_modules, module, _converter, backend = key
+        n_modules, module, _converter = key
         emf_rows = np.vstack([p.emf_row for p in session.pending])
         resistance = np.full(int(n_modules), module.internal_resistance())
         charger = session.scenario.make_charger(with_battery=False)
-        results = inor_stack(
-            emf_rows, resistance, charger=charger, backend=backend
-        )
+        results = inor_stack(emf_rows, resistance, charger=charger)
         self._stats.stacked_passes += 1
         self._stats.rows_decided += emf_rows.shape[0]
         starts = [

@@ -36,7 +36,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.inor import parse_inor_kernel
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim.physics import TracePhysics, TracePhysicsStream
 from repro.sim.scenario import Scenario
@@ -171,17 +170,17 @@ class StreamSession:
         )
         self._scanner = scenario.make_scanner()
         self._scanner.reset()
-        kernel_mode, self._backend = parse_inor_kernel(scenario.inor_kernel)
-        self._micro_batched = policy == "INOR" and kernel_mode == "batched"
+        batched = scenario.inor_kernel == "batched"
+        self._inor_stacked = policy == "INOR" and batched
         # DNOR micro-batching needs the stacked epoch kernel's fused
         # contract: the batched kernel and deterministic (nominal)
         # compute accounting.  Measured-compute sessions stay inline.
-        self._dnor_batched = (
+        self._dnor_stacked = (
             policy == "DNOR"
-            and kernel_mode == "batched"
+            and batched
             and scenario.nominal_compute_s is not None
         )
-        if self._micro_batched:
+        if self._inor_stacked:
             self._policy = None
             self._charger = scenario.make_charger(with_battery=False)
             module = scenario.module
@@ -212,7 +211,7 @@ class StreamSession:
     @property
     def micro_batched(self) -> bool:
         """Whether decisions go through the hub's stacked kernel pass."""
-        return self._micro_batched or self._dnor_batched
+        return self._inor_stacked or self._dnor_stacked
 
     @property
     def n_samples_seen(self) -> int:
@@ -290,7 +289,7 @@ class StreamSession:
             index = self._sample_index + j
             t = float(times[j])
             amb = float(ambient[j])
-            if self._micro_batched:
+            if self._inor_stacked:
                 # PeriodicPolicy's gating arithmetic, verbatim.
                 if t + 1.0e-9 < self._next_run_s:
                     continue
@@ -304,7 +303,7 @@ class StreamSession:
                         emf_row=self._emf_coef * (scanned[j] - amb),
                     )
                 )
-            elif self._dnor_batched:
+            elif self._dnor_stacked:
                 # DNORPolicy's own epoch gating; the history snapshot
                 # and refit row count are frozen at the boundary, so
                 # the hub's later stacked plan sees exactly what the

@@ -54,7 +54,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.dnor import dnor_stack
-from repro.core.inor import _inor_stack_raw, parse_inor_kernel
+from repro.core.inor import _inor_stack_raw
 from repro.core.overhead import OverheadEvent
 from repro.errors import SimulationError
 from repro.sim.results import SimulationResult
@@ -79,26 +79,27 @@ def fusable_reason(case) -> Optional[str]:
         return None
     if case.policy not in ("INOR", "DNOR"):
         return f"policy {case.policy!r} has no stacked epoch kernel"
-    mode, _ = parse_inor_kernel(scenario.inor_kernel)
-    if mode != "batched":
+    if scenario.inor_kernel != "batched":
         return f"kernel {scenario.inor_kernel!r} is the scalar reference"
     if scenario.nominal_compute_s is None:
         return "measured compute time is per-case wall-clock"
     return None
 
 
-def _group_key(case, physics) -> Tuple:
-    """Hashable fused-group identity: one key, one stacked epoch stream."""
+def _group_key(case, physics_id) -> Tuple:
+    """Hashable fused-group identity: one key, one stacked epoch stream.
+
+    ``physics_id`` names the shared trace physics: ``id(physics)`` at
+    run time, the content fingerprint when sharding.
+    """
     scenario = case.scenario
-    _, backend = parse_inor_kernel(scenario.inor_kernel)
     key: Tuple = (
         case.policy,
-        id(physics),
+        physics_id,
         int(scenario.n_modules),
         float(scenario.control_period_s),
         scenario.module,
         scenario.make_charger(with_battery=False).converter,
-        backend,
     )
     if case.policy == "DNOR":
         # DNOR epochs fire every tp + 1 seconds; only cases on the same
@@ -249,7 +250,6 @@ def _run_inor_group(cases: Sequence, physics) -> List[SimulationResult]:
     n_cases = len(cases)
     n_modules = physics.n_modules
     module = scenario0.module
-    _, backend = parse_inor_kernel(scenario0.inor_kernel)
     rank_charger = scenario0.make_charger(with_battery=False)
     run_chargers = [
         case.scenario.make_charger(with_battery=case.with_battery)
@@ -284,11 +284,7 @@ def _run_inor_group(cases: Sequence, physics) -> List[SimulationResult]:
         emf_rows = emf_coef * (scanned[:, i, :] - ambient)
         t0 = time.perf_counter()
         stack, _, _, _, _, winners, _, _ = _inor_stack_raw(
-            emf_rows,
-            decision_resistance,
-            rank_charger,
-            0.03,
-            backend,
+            emf_rows, decision_resistance, rank_charger, 0.03
         )
         runtimes[:, i] = (time.perf_counter() - t0) / n_cases
 
@@ -449,7 +445,7 @@ def run_grid_stacked(
     groups: Dict[Tuple, List[int]] = {}
     for index, (case, physics) in enumerate(zip(cases, physics_per_case)):
         if fusable_reason(case) is None:
-            groups.setdefault(_group_key(case, physics), []).append(index)
+            groups.setdefault(_group_key(case, id(physics)), []).append(index)
         else:
             results[index] = run_case(case, physics)
     for key, indices in groups.items():

@@ -33,6 +33,7 @@ from repro.core.controller import (
     StaticPolicy,
 )
 from repro.core.dnor import DNORPlanner
+from repro.core.inor import check_inor_kernel
 from repro.core.overhead import SwitchingOverheadModel
 from repro.power.battery import LeadAcidBattery
 from repro.power.charger import TEGCharger
@@ -347,7 +348,7 @@ class Scenario:
             sensor_seed=int(data["sensor_seed"]),
             scanner_noise_std_k=float(data["scanner_noise_std_k"]),
             nominal_compute_s=None if nominal is None else float(nominal),
-            inor_kernel=str(data["inor_kernel"]),
+            inor_kernel=check_inor_kernel(str(data["inor_kernel"])),
         )
 
     def to_json(self, indent: Optional[int] = None) -> str:

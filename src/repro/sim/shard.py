@@ -70,7 +70,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.inor import parse_inor_kernel
 from repro.errors import SimulationError
 from repro.sim._atomic import atomic_write
 from repro.sim.cache import PhysicsCache
@@ -82,7 +81,7 @@ from repro.sim.engine import (
     run_case,
 )
 from repro.sim.export import result_from_npz, result_to_npz
-from repro.sim.gridstack import fusable_reason, run_grid_stacked
+from repro.sim.gridstack import _group_key, fusable_reason, run_grid_stacked
 from repro.sim.results import SimulationResult, summary_row
 
 #: Bumped whenever the shard directory layout changes.  v2 adds the
@@ -326,33 +325,6 @@ def _group_id(index: int) -> str:
     return f"group-{index:05d}"
 
 
-def _fused_group_key(case: ExperimentCase) -> Tuple:
-    """Machine-independent fused-group identity of one case.
-
-    The shard-time twin of :func:`repro.sim.gridstack._group_key`: the
-    content fingerprint replaces ``id(physics)`` (workers rebuild
-    cases from JSON, so object identity cannot travel through the
-    manifest).  Cases sharing this key load one physics artifact and
-    run through one stacked pass; the runtime grouping inside
-    :func:`~repro.sim.gridstack.run_grid_stacked` re-derives the same
-    partition over the shared physics object.
-    """
-    scenario = case.scenario
-    _, backend = parse_inor_kernel(scenario.inor_kernel)
-    key: Tuple = (
-        case.policy,
-        scenario.physics_fingerprint(),
-        int(scenario.n_modules),
-        float(scenario.control_period_s),
-        scenario.module,
-        scenario.make_charger(with_battery=False).converter,
-        backend,
-    )
-    if case.policy == "DNOR":
-        key += (float(scenario.tp_seconds),)
-    return key
-
-
 def _compute_groups(
     case_ids: Sequence[str], cases: Sequence[ExperimentCase]
 ) -> Tuple[Tuple[str, Tuple[str, ...]], ...]:
@@ -369,7 +341,8 @@ def _compute_groups(
     for case_id, case in zip(case_ids, cases):
         if fusable_reason(case) is not None:
             continue
-        key = _fused_group_key(case)
+        # Object identity cannot cross the JSON manifest: key on content.
+        key = _group_key(case, case.scenario.physics_fingerprint())
         if key not in members:
             members[key] = []
             order.append(key)

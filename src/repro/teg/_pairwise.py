@@ -17,12 +17,11 @@ equal reduction:
   halves' recursive sums.
 
 The implementation below walks that tree *level-wise over all segments
-simultaneously*: the split schedule is pure integer bookkeeping (done in
-host NumPy), while every floating-point add runs as one array operation
-across segments — and across any leading batch axes of ``values``.  All
-float adds are explicit (never ``xp.sum``), so any array namespace whose
-elementwise ``+`` is IEEE-754 double addition (NumPy, CuPy) produces
-bit-identical results.
+simultaneously*: the split schedule is pure integer bookkeeping, while
+every floating-point add runs as one array operation across segments —
+and across any leading batch axes of ``values``.  All float adds are
+explicit elementwise ``+`` (never ``np.sum``), so the result is fixed by
+the tree alone.
 
 A subtlety worth recording: masked accumulation must use fancy-indexed
 in-place adds on the *active* subset, never ``res += where(mask, x, 0.0)``
@@ -34,47 +33,52 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import ConfigurationError
+
 #: Leaf size of NumPy's pairwise summation: runs of at most this many
 #: elements are reduced by the unrolled 8-lane loop, longer runs split.
 PAIRWISE_BLOCKSIZE = 128
 
 
-def segmented_pairwise_sum_xp(values, offsets: np.ndarray, xp=np):
-    """Sum every ``values[..., offsets[k]:offsets[k+1]]`` slice at once.
+def segmented_pairwise_sum(values, offsets) -> np.ndarray:
+    """Sum every ``values[..., lo:hi]`` segment, bitwise like ``ndarray.sum``.
 
-    Parameters
-    ----------
-    values:
-        ``(..., T)`` float64 array in the ``xp`` namespace (leading axes
-        broadcast through untouched).
-    offsets:
-        Host ``(S + 1,)`` non-decreasing int64 segment boundaries into
-        the last axis.  Empty segments sum to ``+0.0`` like
-        ``ndarray.sum`` of an empty slice.
-    xp:
-        Array namespace carrying the floating-point work (``numpy`` by
-        default; ``cupy`` runs the same tree on device).
-
-    Returns
-    -------
-    ``(..., S)`` array, bit-identical per segment to
-    ``values[..., lo:hi].sum(axis=-1)``.
+    ``offsets`` is an ``(S + 1,)`` non-decreasing boundary vector into
+    the last axis of ``values`` (leading axes broadcast through
+    untouched); the result has shape ``(..., S)``, bit-identical per
+    segment to ``values[..., lo:hi].sum(axis=-1)``.  Empty segments sum
+    to ``+0.0`` like ``ndarray.sum`` of an empty slice.
     """
+    offsets = np.asarray(offsets, dtype=np.int64)
+    if offsets.ndim != 1 or offsets.size == 0:
+        raise ConfigurationError(
+            f"offsets must be a non-empty 1-D vector, got shape {offsets.shape}"
+        )
+    values = np.asarray(values, dtype=np.float64)
+    length = values.shape[-1] if values.ndim else 0
+    if (
+        offsets[0] < 0
+        or offsets[-1] > length
+        or np.any(offsets[1:] < offsets[:-1])
+    ):
+        raise ConfigurationError(
+            f"offsets must be non-decreasing within [0, {length}], got "
+            f"{offsets.tolist()[:8]}..."
+        )
     starts = offsets[:-1]
-    lens = offsets[1:] - starts
-    return _node_sums(values, starts, lens, xp)
+    return _node_sums(values, starts, offsets[1:] - starts)
 
 
-def _node_sums(values, starts: np.ndarray, lens: np.ndarray, xp):
+def _node_sums(values, starts: np.ndarray, lens: np.ndarray):
     """Pairwise sums of arbitrary-length nodes (one tree level per call)."""
     big = lens > PAIRWISE_BLOCKSIZE
     if not big.any():
-        return _leaf_sums(values, starts, lens, xp)
-    out = xp.empty(values.shape[:-1] + (lens.size,), dtype=np.float64)
+        return _leaf_sums(values, starts, lens)
+    out = np.empty(values.shape[:-1] + (lens.size,), dtype=np.float64)
     small_sel = np.flatnonzero(~big)
     if small_sel.size:
-        out[..., xp.asarray(small_sel)] = _leaf_sums(
-            values, starts[small_sel], lens[small_sel], xp
+        out[..., small_sel] = _leaf_sums(
+            values, starts[small_sel], lens[small_sel]
         )
     big_sel = np.flatnonzero(big)
     big_starts = starts[big_sel]
@@ -87,17 +91,16 @@ def _node_sums(values, starts: np.ndarray, lens: np.ndarray, xp):
         values,
         np.concatenate((big_starts, big_starts + half)),
         np.concatenate((half, big_lens - half)),
-        xp,
     )
     n_big = big_sel.size
-    out[..., xp.asarray(big_sel)] = child[..., :n_big] + child[..., n_big:]
+    out[..., big_sel] = child[..., :n_big] + child[..., n_big:]
     return out
 
 
-def _leaf_sums(values, starts: np.ndarray, lens: np.ndarray, xp):
+def _leaf_sums(values, starts: np.ndarray, lens: np.ndarray):
     """Pairwise sums of nodes no longer than :data:`PAIRWISE_BLOCKSIZE`."""
     lead = values.shape[:-1]
-    res = xp.zeros(lead + (lens.size,), dtype=np.float64)
+    res = np.zeros(lead + (lens.size,), dtype=np.float64)
     if lens.size == 0:
         return res
     tiny_sel = np.flatnonzero(lens < 8)
@@ -108,21 +111,20 @@ def _leaf_sums(values, starts: np.ndarray, lens: np.ndarray, xp):
         # NumPy's n < 8 path, including the empty-slice +0.0.
         for step in range(int(tiny_lens.max())):
             live = np.flatnonzero(tiny_lens > step)
-            cols = xp.asarray(tiny_sel[live])
-            res[..., cols] += values[..., xp.asarray(tiny_starts[live] + step)]
+            res[..., tiny_sel[live]] += values[..., tiny_starts[live] + step]
     blk_sel = np.flatnonzero(lens >= 8)
     if blk_sel.size:
         blk_starts = starts[blk_sel]
         blk_lens = lens[blk_sel]
         lane = np.arange(8, dtype=np.int64)[None, :]
         # Zero-initialised lanes + the head block: r[k] = 0.0 + a[k].
-        acc = xp.zeros(lead + (blk_sel.size, 8), dtype=np.float64)
-        acc += values[..., xp.asarray(blk_starts[:, None] + lane)]
+        acc = np.zeros(lead + (blk_sel.size, 8), dtype=np.float64)
+        acc += values[..., blk_starts[:, None] + lane]
         n_blocks = blk_lens // 8  # full 8-blocks, head included
         for block in range(1, int(n_blocks.max())):
             live = np.flatnonzero(n_blocks > block)
-            idx = xp.asarray(blk_starts[live, None] + 8 * block + lane)
-            acc[..., xp.asarray(live), :] += values[..., idx]
+            idx = blk_starts[live, None] + 8 * block + lane
+            acc[..., live, :] += values[..., idx]
         # The fixed lane combine: ((r0+r1)+(r2+r3)) + ((r4+r5)+(r6+r7)).
         pair = acc[..., 0::2] + acc[..., 1::2]
         quad = pair[..., 0::2] + pair[..., 1::2]
@@ -131,7 +133,6 @@ def _leaf_sums(values, starts: np.ndarray, lens: np.ndarray, xp):
         tail = blk_starts + blk_lens - rem
         for step in range(int(rem.max())):
             live = np.flatnonzero(rem > step)
-            cols = xp.asarray(live)
-            blk_res[..., cols] += values[..., xp.asarray(tail[live] + step)]
-        res[..., xp.asarray(blk_sel)] = blk_res
+            blk_res[..., live] += values[..., tail[live] + step]
+        res[..., blk_sel] = blk_res
     return res

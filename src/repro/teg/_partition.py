@@ -1,20 +1,13 @@
-"""NumPy reference implementations of the partition-build entry points.
+"""The array passes of the greedy balanced-partition build.
 
-The greedy balanced-partition build of
-:func:`repro.teg.network.partition_multi_stack` decomposes into three
-array passes — the cumulative-current **prefix table**, the row-wise
-searchsorted **next-cut map** (with the walk's tie rule and flat-run
-extension), and the **binary-lifting** iteration of that map — and this
-module holds the NumPy forms the backend registry treats as the
-bit-identity reference.  The expression trees here are lifted verbatim
-from the original inline pipeline, so routing the build through the
-backend seam changes *where* the arithmetic executes, never which
-doubles it produces.
-
-Only the prefix table and the tie-rule comparison touch floating point;
-the next-cut binary search and the lifting gathers are integer-exact,
-which is what lets the jitted twins in
-:mod:`repro.backend.numba_backend` match bitwise with scalar loops.
+The build of :func:`repro.teg.network.partition_multi_stack` decomposes
+into three array passes — the cumulative-current **prefix table**, the
+row-wise searchsorted **next-cut map** (with the walk's tie rule and
+flat-run extension), and the **binary-lifting** iteration of that map.
+The expression trees here are the ones the scalar walk's cuts are pinned
+against: only the prefix table and the tie-rule comparison touch
+floating point; the next-cut binary search and the lifting gathers are
+integer-exact.
 """
 
 from __future__ import annotations
@@ -72,7 +65,7 @@ def searchsorted_rows_right(
     return bound
 
 
-def prefix_table_np(rows: np.ndarray) -> np.ndarray:
+def prefix_table(rows: np.ndarray) -> np.ndarray:
     """Per-row cumulative-current prefix table, zero-led.
 
     ``prefix[c, j] = sum(rows[c, :j])`` via ``np.cumsum`` — the
@@ -85,7 +78,7 @@ def prefix_table_np(rows: np.ndarray) -> np.ndarray:
     )
 
 
-def next_cut_map_np(
+def next_cut_map(
     prefix_rows: np.ndarray,
     row_of: np.ndarray,
     ideals: np.ndarray,
@@ -140,7 +133,7 @@ def next_cut_map_np(
     return nxt
 
 
-def lift_cuts_np(
+def lift_cuts(
     next_map: np.ndarray, counts: np.ndarray, n_lift: int
 ) -> np.ndarray:
     """All walk iterates of the next-cut map, by binary lifting.

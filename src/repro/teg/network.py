@@ -26,18 +26,19 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.backend import (
+from repro.errors import ConfigurationError
+from repro.teg._pairwise import segmented_pairwise_sum
+from repro.teg._partition import (
+    _index_arange,
+    _lift_plan,
     lift_cuts,
     next_cut_map,
     prefix_table,
-    segmented_pairwise_sum,
 )
-from repro.backend._partition import _index_arange, _lift_plan
-from repro.errors import ConfigurationError
 from repro.teg.module import MPPPoint
 
 
@@ -534,7 +535,6 @@ def partition_multi_stack(
     mpp_current_rows: np.ndarray,
     n_min,
     n_max,
-    backend: Optional[str] = None,
 ) -> PartitionStack:
     """Greedy balanced partitions for every case of a stacked grid.
 
@@ -555,12 +555,8 @@ def partition_multi_stack(
     module axis (:func:`_accumulation_walk_rows`).
 
     The three array stages of the build — prefix construction, the
-    next-cut map and the lifting iteration — execute through the
-    :mod:`repro.backend` entry points (:func:`repro.backend.prefix_table`
-    / :func:`~repro.backend.next_cut_map` /
-    :func:`~repro.backend.lift_cuts`); ``backend`` selects the
-    implementation and cannot change the cuts (every backend is
-    parity-probed bitwise against the NumPy reference before use).
+    next-cut map and the lifting iteration — are the functions of
+    :mod:`repro.teg._partition`.
     """
     rows = np.asarray(mpp_current_rows, dtype=float)
     if rows.ndim != 2 or rows.size == 0:
@@ -599,21 +595,17 @@ def partition_multi_stack(
     pos_sel = np.flatnonzero(monotone_rows[case_of_cand])
 
     if pos_sel.size:
-        # The three backend stages: prefix construction, the next-cut
+        # The three build stages: prefix construction, the next-cut
         # map (bracketing search + tie rule + flat-run extension) and
         # the lifting iteration.  ndarray.sum feeds the ideals — the
         # prefix tail would not match the scalar walk (cumsum
         # accumulates sequentially, sum pairwise).
-        prefix_rows = prefix_table(rows, backend=backend)
+        prefix_rows = prefix_table(rows)
         sums = rows.sum(axis=1)
         row_of = case_of_cand[pos_sel]
         ideals = sums[row_of] / counts_all[pos_sel]
-        nxt = next_cut_map(
-            prefix_rows, row_of, ideals, lowest_rows == 0.0, backend=backend
-        )
-        cuts[pos_sel] = lift_cuts(
-            nxt, counts_all[pos_sel], n_lift, backend=backend
-        )
+        nxt = next_cut_map(prefix_rows, row_of, ideals, lowest_rows == 0.0)
+        cuts[pos_sel] = lift_cuts(nxt, counts_all[pos_sel], n_lift)
 
     ragged_mask = _index_arange(n_lift)[None, :] < counts_all[:, None]
     walk_cand = ~monotone_rows[case_of_cand]
@@ -638,7 +630,6 @@ def array_mpp_multi_stack(
     emf_rows: np.ndarray,
     resistance: np.ndarray,
     stack: PartitionStack,
-    backend: Optional[str] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact MPPs of every candidate of a stacked case grid.
 
@@ -686,7 +677,7 @@ def array_mpp_multi_stack(
     pair = np.empty_like(groups)
     pair[1] = 1.0 / groups[0]
     pair[0] = groups[1] * pair[1]
-    totals = segmented_pairwise_sum(pair, stack.offsets, backend=backend)
+    totals = segmented_pairwise_sum(pair, stack.offsets)
     e_total = totals[0]
     r_total = totals[1]
     power = e_total * e_total / (4.0 * r_total)
@@ -802,7 +793,6 @@ def array_mpp_rows_multi(
     emf_rows: np.ndarray,
     resistance: np.ndarray,
     starts_list: Sequence[Sequence[int]],
-    backend: Optional[str] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Exact MPP rows of *many configurations* over stacked EMF rows.
 
@@ -820,10 +810,9 @@ def array_mpp_rows_multi(
     :func:`array_mpp_rows` once per configuration: the tiled reduceat
     preserves each group's in-segment accumulation order and the
     per-configuration series sums run through the segmented pairwise
-    tree of :func:`repro.backend.segmented_pairwise_sum`, which
+    tree of :func:`repro.teg._pairwise.segmented_pairwise_sum`, which
     reproduces the single-configuration path's ``ndarray.sum``
-    summation order exactly (``backend`` selects the executing array
-    backend; results are bit-identical across backends).
+    summation order exactly.
     """
     emf_rows = np.asarray(emf_rows, dtype=float)
     conductance = 1.0 / np.asarray(resistance, dtype=float)
@@ -858,8 +847,8 @@ def array_mpp_rows_multi(
     # Per-configuration series sums: the segmented pairwise tree
     # reproduces contiguous-slice ndarray.sum bitwise, with no Python
     # loop over configurations.
-    e_rows = segmented_pairwise_sum(contrib, offsets, backend=backend)
-    r_totals = segmented_pairwise_sum(r_groups, offsets, backend=backend)
+    e_rows = segmented_pairwise_sum(contrib, offsets)
+    r_totals = segmented_pairwise_sum(r_groups, offsets)
     power = np.ascontiguousarray((e_rows * e_rows / (4.0 * r_totals)).T)
     voltage = np.ascontiguousarray((e_rows / 2.0).T)
     return power, voltage
@@ -870,7 +859,6 @@ def array_mpp_rows_multi_stack(
     resistance: np.ndarray,
     starts_list: Sequence[Sequence[int]],
     case_of_config: Sequence[int],
-    backend: Optional[str] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Exact MPP rows of many ``(case, configuration)`` pairs at once.
 
@@ -941,8 +929,8 @@ def array_mpp_rows_multi_stack(
     group_weighted = np.add.reduceat(tiled_weighted, idx, axis=1)
     contrib = group_weighted * r_groups
 
-    e_rows = segmented_pairwise_sum(contrib, offsets, backend=backend)
-    r_totals = segmented_pairwise_sum(r_groups, offsets, backend=backend)
+    e_rows = segmented_pairwise_sum(contrib, offsets)
+    r_totals = segmented_pairwise_sum(r_groups, offsets)
     power = np.ascontiguousarray((e_rows * e_rows / (4.0 * r_totals)).T)
     voltage = np.ascontiguousarray((e_rows / 2.0).T)
     return power, voltage
@@ -953,7 +941,6 @@ def array_mpp_multi(
     resistance: np.ndarray,
     starts_list: Sequence[Sequence[int]],
     validate: bool = True,
-    backend: Optional[str] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact MPPs of *many configurations* at one temperature state.
 
@@ -970,9 +957,9 @@ def array_mpp_multi(
     ``np.add.reduceat`` over a tiled module axis (same elements, same
     summation order as the per-candidate reduceat), and the per-
     candidate series sums run through
-    :func:`repro.backend.segmented_pairwise_sum`, which reproduces the
-    scalar path's ``ndarray.sum`` pairwise order bitwise (``backend``
-    selects the executing array backend).  Algorithms may therefore
+    :func:`repro.teg._pairwise.segmented_pairwise_sum`, which reproduces
+    the scalar path's ``ndarray.sum`` pairwise order bitwise.  Algorithms
+    may therefore
     swap the scalar loop for this kernel without perturbing a single
     decision.
 
@@ -1070,7 +1057,7 @@ def array_mpp_multi(
     # the scalar path's e_groups.sum() summation order bitwise
     # (np.add.reduceat's sequential accumulation would not), with no
     # Python loop over candidates.
-    totals = segmented_pairwise_sum(pair, offsets, backend=backend)
+    totals = segmented_pairwise_sum(pair, offsets)
     e_total = totals[0]
     r_total = totals[1]
     power = e_total * e_total / (4.0 * r_total)

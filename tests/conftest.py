@@ -9,6 +9,12 @@ from repro.teg.array import TEGArray
 from repro.teg.datasheet import TGM_199_1_4_0_8
 
 
+def pytest_configure(config) -> None:
+    config.addinivalue_line(
+        "markers", "slow: long-running example scripts"
+    )
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     """Deterministic random generator for tests."""

@@ -1,36 +1,19 @@
-"""Backend registry + segmented pairwise tree reduction pins.
+"""Segmented pairwise tree reduction and partition-search pins.
 
-The backend layer's whole contract is a single sentence: every backend's
+The decision kernels' segmented reductions hold to one contract:
 ``segmented_pairwise_sum`` is **bit-identical** to contiguous-slice
-``ndarray.sum``, and a backend that cannot honour that is *unavailable*,
-never silently substituted.  This suite pins both halves — the NumPy
-tree against ``ndarray.sum`` over adversarial segment layouts (empty,
-length-1, lane-boundary, power-of-two, deep-recursion, ``-0.0``-laced),
-and the registry's selection/failure behaviour (env default, unknown
-names, unavailable optional wheels).  The partition-build entry points
-(``prefix_table`` / ``next_cut_map`` / ``lift_cuts``) carry the same
-contract and are pinned NumPy == optional backend on the same bytes.
+``ndarray.sum``.  This suite pins it over adversarial segment layouts
+(empty, length-1, lane-boundary, power-of-two, deep-recursion,
+``-0.0``-laced), and pins the next-cut map's row-wise search against a
+per-row ``np.searchsorted`` oracle.
 """
 
 import numpy as np
 import pytest
 
-from repro.backend import (
-    BACKEND_ENV_VAR,
-    BACKEND_NAMES,
-    BackendUnavailableError,
-    PAIRWISE_BLOCKSIZE,
-    available_backends,
-    backend_unavailable_reason,
-    default_backend_name,
-    get_backend,
-    lift_cuts,
-    next_cut_map,
-    prefix_table,
-    segmented_pairwise_sum,
-)
-from repro.backend._partition import searchsorted_rows_right
 from repro.errors import ConfigurationError
+from repro.teg._pairwise import PAIRWISE_BLOCKSIZE, segmented_pairwise_sum
+from repro.teg._partition import prefix_table, searchsorted_rows_right
 
 
 def _reference(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -142,39 +125,6 @@ class TestPairwiseTreeBitwise:
             segmented_pairwise_sum(np.ones(4), offsets)
 
 
-class TestBackendRegistry:
-    def test_numpy_always_available(self):
-        assert "numpy" in available_backends()
-        assert backend_unavailable_reason("numpy") is None
-        assert get_backend("numpy").name == "numpy"
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown backend"):
-            get_backend("fortran")
-        with pytest.raises(ConfigurationError, match="unknown backend"):
-            backend_unavailable_reason("fortran")
-
-    def test_default_backend_tracks_env(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert default_backend_name() == "numpy"
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numba")
-        assert default_backend_name() == "numba"
-        monkeypatch.setenv(BACKEND_ENV_VAR, "  ")
-        assert default_backend_name() == "numpy"
-
-    def test_unavailable_backend_raises_not_degrades(self):
-        """A named-but-absent backend must raise, never fall back."""
-        for name in ("numba", "cupy"):
-            reason = backend_unavailable_reason(name)
-            if reason is None:
-                continue  # wheel present on this host: covered below
-            with pytest.raises(BackendUnavailableError, match=name):
-                get_backend(name)
-
-    def test_backend_names_cover_factories(self):
-        assert set(BACKEND_NAMES) == {"numpy", "numba", "cupy"}
-
-
 class TestSearchsortedRowsRight:
     """The next-cut map's row-wise search against a per-row
     ``np.searchsorted(side="right")`` oracle."""
@@ -217,56 +167,3 @@ class TestSearchsortedRowsRight:
             table, np.zeros(0, dtype=np.int64), np.empty((0, 31))
         )
         assert got.shape == (0, 31)
-
-
-@pytest.mark.parametrize("name", ["numba", "cupy"])
-class TestOptionalBackendParity:
-    """When an optional wheel is present, hold it to the same bit."""
-
-    def test_optional_backend_matches_numpy(self, name):
-        if backend_unavailable_reason(name) is not None:
-            pytest.skip(f"backend {name!r} not available on this host")
-        rng = np.random.default_rng(2018)
-        offsets = _random_layout(rng, 25)
-        values = rng.normal(size=int(offsets[-1]))
-        got = segmented_pairwise_sum(values, offsets, backend=name)
-        want = segmented_pairwise_sum(values, offsets, backend="numpy")
-        assert np.asarray(got).tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("seed", [11, 12, 13])
-    def test_partition_build_matches_numpy(self, name, seed):
-        """The three partition-build stages yield identical bytes on
-        every backend, including zero-current flat runs and lane counts
-        spanning [1, N]."""
-        if backend_unavailable_reason(name) is not None:
-            pytest.skip(f"backend {name!r} not available on this host")
-        rng = np.random.default_rng(seed)
-        n_cases, n_modules, n_lanes = 5, 24, 12
-        rows = np.abs(rng.normal(size=(n_cases, n_modules))) * np.exp(
-            rng.uniform(-4.0, 4.0, (n_cases, n_modules))
-        )
-        rows[0, 5:13] = 0.0  # a zero-current flat run mid-row
-        rows[3, :4] = 0.0  # and one at the start
-        flat_rows = (rows == 0.0).any(axis=1)
-        row_of = rng.integers(0, n_cases, size=n_lanes)
-        counts = rng.integers(1, n_modules + 1, size=n_lanes)
-
-        prefix_want = prefix_table(rows, backend="numpy")
-        prefix_got = np.asarray(prefix_table(rows, backend=name))
-        assert prefix_got.tobytes() == prefix_want.tobytes()
-
-        ideals = prefix_want[row_of, -1] / counts
-        next_want = next_cut_map(
-            prefix_want, row_of, ideals, flat_rows, backend="numpy"
-        )
-        next_got = np.asarray(
-            next_cut_map(prefix_want, row_of, ideals, flat_rows, backend=name)
-        )
-        assert next_got.tobytes() == next_want.tobytes()
-
-        n_lift = int(counts.max())
-        cuts_want = lift_cuts(next_want, counts, n_lift, backend="numpy")
-        cuts_got = np.asarray(
-            lift_cuts(next_want, counts, n_lift, backend=name)
-        )
-        assert cuts_got.tobytes() == cuts_want.tobytes()

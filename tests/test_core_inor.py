@@ -397,3 +397,54 @@ class TestBatchedKernel:
         emf = np.linspace(2.0, 0.5, 16)
         res = np.full(16, 0.9)
         assert inor(emf, res) == inor(emf, res, kernel="batched")
+
+
+def _build_with_kernel(target, kernel):
+    """Hand ``kernel`` to one of the layers that accept a kernel name."""
+    from repro.cli import build_parser
+    from repro.core.controller import PeriodicPolicy
+    from repro.core.dnor import DNORPlanner
+    from repro.core.overhead import SwitchingOverheadModel
+    from repro.prediction.mlr import MLRPredictor
+    from repro.sim.scenario import Scenario, default_scenario
+    from repro.teg.datasheet import TGM_199_1_4_0_8
+
+    if target == "inor":
+        inor(np.ones(4), np.ones(4), kernel=kernel)
+    elif target == "PeriodicPolicy":
+        PeriodicPolicy(TGM_199_1_4_0_8, kernel=kernel)
+    elif target == "DNORPlanner":
+        DNORPlanner(
+            TGM_199_1_4_0_8,
+            TEGCharger(),
+            SwitchingOverheadModel(),
+            MLRPredictor(lags=4, train_window=120),
+            inor_kernel=kernel,
+        )
+    elif target == "Scenario.from_json_dict":
+        data = default_scenario(duration_s=5.0, n_modules=9).to_json_dict()
+        Scenario.from_json_dict({**data, "inor_kernel": kernel})
+    else:
+        build_parser().parse_args(["simulate", "--kernel", kernel])
+
+
+@pytest.mark.parametrize(
+    "target",
+    [
+        "inor",
+        "PeriodicPolicy",
+        "DNORPlanner",
+        "Scenario.from_json_dict",
+        "repro simulate --kernel",
+    ],
+)
+@pytest.mark.parametrize("kernel", ["batched:numpy", "batched:numba", "fast"])
+def test_unknown_kernel_names_rejected(target, kernel, capsys):
+    """Only the names in INOR_KERNELS are accepted, and the error lists
+    them — including the removed backend-suffixed spellings."""
+    error = SystemExit if target.startswith("repro ") else ConfigurationError
+    with pytest.raises(error) as exc:
+        _build_with_kernel(target, kernel)
+    message = capsys.readouterr().err if error is SystemExit else str(exc.value)
+    assert kernel in message
+    assert "'batched'" in message and "'scalar'" in message

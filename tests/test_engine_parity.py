@@ -388,27 +388,6 @@ class TestGridStackedExecutor:
             assert res_s.overhead_events == res_g.overhead_events
             assert res_s.switch_overhead_j == res_g.switch_overhead_j
 
-    def test_numpy_backend_kernel_fuses_identically(self, scenarios):
-        """The ``batched:numpy`` spelling routes through the backend
-        registry yet must change nothing."""
-        from repro.sim.engine import ExperimentRunner, grid_cases
-
-        scenario = scenarios[("porter-ii", "noisy")]
-        named = dataclasses.replace(scenario, inor_kernel="batched:numpy")
-        cases = grid_cases([named], ["INOR"], scanner_noise_std_k=[0.02, 0.1])
-        baseline = ExperimentRunner(
-            grid_cases([scenario], ["INOR"], scanner_noise_std_k=[0.02, 0.1]),
-            executor="serial",
-        ).run()
-        stacked = ExperimentRunner(cases, executor="gridstack").run()
-        for (_, res_s), (_, res_g) in zip(baseline, stacked):
-            for field in self.BIT_FIELDS:
-                assert (
-                    getattr(res_s, field).tobytes()
-                    == getattr(res_g, field).tobytes()
-                ), field
-            assert res_s.overhead_events == res_g.overhead_events
-
 
 class TestStackedKernelParity:
     """``inor_stack`` over a case-stacked EMF matrix equals per-case

@@ -391,9 +391,10 @@ class TestStackedKernels:
 
     def test_mixed_stacks_pinned_to_scalar_walk(self, walk_edge_currents):
         """Monotone rows on random windows beside every 34-module walk
-        edge case on its full window, and the 400-module chain beside
-        its mirror and its monotone twin: every candidate pinned to the
-        scalar oracle."""
+        edge case on its full window, zero-current edge rows (all-zero,
+        leading and trailing zero runs) on their full windows, and the
+        400-module chain beside its mirror and its monotone twin: every
+        candidate pinned to the scalar oracle."""
         edge = [v for v in walk_edge_currents.values() if v.size == 34]
         rng = np.random.default_rng(34)
         monotone = rng.uniform(0.0, 1.0, (len(edge), 34))
@@ -402,6 +403,13 @@ class TestStackedKernels:
         n_min = rng.integers(1, 35, rows.shape[0])
         n_max = np.array([rng.integers(lo, 35) for lo in n_min])
         n_min[1::2], n_max[1::2] = 1, 34
+        flat = np.random.default_rng(35).uniform(0.0, 1.0, (3, 34))
+        flat[0] = 0.0  # every prefix value tied
+        flat[1, :6] = 0.0  # a leading zero run
+        flat[2, -7:] = 0.0  # a trailing zero run
+        rows = np.concatenate((rows, flat))
+        n_min = np.concatenate((n_min, [1] * 3))
+        n_max = np.concatenate((n_max, [34] * 3))
         long = walk_edge_currents["long"]
         stacks = [
             (rows, n_min, n_max),
