@@ -27,7 +27,7 @@ def _true_temps(scenario):
     trace = scenario.trace
     rows = np.empty((trace.n_samples, scenario.n_modules))
     for i in range(trace.n_samples):
-        op = scenario.radiator.operating_point(
+        op = scenario.boundary.operating_point(
             coolant_inlet_c=float(trace.coolant_inlet_c[i]),
             coolant_flow_kg_s=float(trace.coolant_flow_kg_s[i]),
             ambient_c=float(trace.ambient_c[i]),

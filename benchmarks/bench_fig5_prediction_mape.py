@@ -34,7 +34,7 @@ def temperature_history(scenario_800):
     n_rows = int(400.0 / trace.dt_s)
     rows = np.empty((n_rows, scenario.n_modules))
     for i in range(n_rows):
-        op = scenario.radiator.operating_point(
+        op = scenario.boundary.operating_point(
             coolant_inlet_c=float(trace.coolant_inlet_c[i]),
             coolant_flow_kg_s=float(trace.coolant_flow_kg_s[i]),
             ambient_c=float(trace.ambient_c[i]),

@@ -57,7 +57,7 @@ def grid():
     cache = PhysicsCache()
     # Warm the shared physics once so neither timed run pays the solve.
     cache.get_or_compute(
-        scenario.trace, scenario.radiator, scenario.module, scenario.n_modules
+        scenario.trace, scenario.boundary, scenario.module, scenario.n_modules
     )
     return cases, cache
 

@@ -30,6 +30,34 @@ from repro.power.charger import TEGCharger
 from repro.teg.model import ModuleModel
 
 
+class EpochClock:
+    """The periodic decision gate every control loop shares.
+
+    Fires on the first sample, then on the first sample at least
+    ``period_s`` after the previous firing; the 1 ns slack absorbs the
+    rounding of accumulated sample times.  The policies, the fused grid
+    schedule and the streaming sessions all gate through this one rule,
+    so they fire on exactly the same samples.
+    """
+
+    __slots__ = ("period_s", "_next_s")
+
+    def __init__(self, period_s: float) -> None:
+        self.period_s = float(period_s)
+        self._next_s = 0.0
+
+    def due(self, time_s: float) -> bool:
+        """Whether a decision fires at ``time_s``; re-arms when it does."""
+        if time_s + 1.0e-9 < self._next_s:
+            return False
+        self._next_s = time_s + self.period_s
+        return True
+
+    def reset(self) -> None:
+        """Fire again on the next sample."""
+        self._next_s = 0.0
+
+
 class ReconfigurationPolicy(abc.ABC):
     """Interface between the simulator and a reconfiguration scheme."""
 
@@ -125,10 +153,9 @@ class PeriodicPolicy(ReconfigurationPolicy):
         check_inor_kernel(kernel)
         self._module = module
         self._algorithm = algorithm
-        self._period_s = float(period_s)
         self._charger = charger
         self._kernel = kernel
-        self._next_run_s = 0.0
+        self._clock = EpochClock(period_s)
 
     @property
     def name(self) -> str:
@@ -138,15 +165,14 @@ class PeriodicPolicy(ReconfigurationPolicy):
     @property
     def period_s(self) -> float:
         """Reconfiguration period."""
-        return self._period_s
+        return self._clock.period_s
 
     def decide(
         self, time_s: float, module_temps_c: np.ndarray, ambient_c: float
     ) -> Optional[ArrayConfiguration]:
         """Recompute the configuration whenever the period elapses."""
-        if time_s + 1.0e-9 < self._next_run_s:
+        if not self._clock.due(time_s):
             return None
-        self._next_run_s = time_s + self._period_s
         emf, res = thevenin_from_temps(self._module, module_temps_c, ambient_c)
         if self._algorithm == "inor":
             return inor(
@@ -156,7 +182,7 @@ class PeriodicPolicy(ReconfigurationPolicy):
 
     def reset(self) -> None:
         """Restart the period clock."""
-        self._next_run_s = 0.0
+        self._clock.reset()
 
 
 class DNORPolicy(ReconfigurationPolicy):
@@ -181,7 +207,7 @@ class DNORPolicy(ReconfigurationPolicy):
         self._planner = planner
         self._history: Deque[np.ndarray] = deque(maxlen=int(history_rows))
         self._current: Optional[ArrayConfiguration] = None
-        self._next_epoch_s = 0.0
+        self._clock = EpochClock(planner.epoch_seconds)
         self._timed_decisions: list = []
         self._rows_since_plan = 0
 
@@ -230,9 +256,8 @@ class DNORPolicy(ReconfigurationPolicy):
         """
         self._history.append(np.asarray(module_temps_c, dtype=float))
         self._rows_since_plan += 1
-        if time_s + 1.0e-9 < self._next_epoch_s:
+        if not self._clock.due(time_s):
             return None
-        self._next_epoch_s = time_s + self._planner.epoch_seconds
         history = np.vstack(self._history)
         new_rows = self._rows_since_plan
         self._rows_since_plan = 0
@@ -271,7 +296,7 @@ class DNORPolicy(ReconfigurationPolicy):
         """Clear history, epoch state and the predictor stream."""
         self._history.clear()
         self._current = None
-        self._next_epoch_s = 0.0
+        self._clock.reset()
         self._timed_decisions = []
         self._rows_since_plan = 0
         self._planner.reset_stream()

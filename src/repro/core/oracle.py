@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.config import ArrayConfiguration
-from repro.core.controller import ReconfigurationPolicy
+from repro.core.controller import EpochClock, ReconfigurationPolicy
 from repro.core.dnor import DNORPlanner
 from repro.errors import ConfigurationError
 from repro.prediction.base import LagSeriesPredictor
@@ -93,7 +93,7 @@ class OracleDNORPolicy(ReconfigurationPolicy):
         self._future = np.asarray(future_temps, dtype=float)
         self._history: list = []
         self._current: Optional[ArrayConfiguration] = None
-        self._next_epoch_s = 0.0
+        self._clock = EpochClock(planner.epoch_seconds)
         self._step = 0
         self._switch_count = 0
 
@@ -114,9 +114,8 @@ class OracleDNORPolicy(ReconfigurationPolicy):
         self._history.append(np.asarray(module_temps_c, dtype=float))
         step = self._step
         self._step += 1
-        if time_s + 1.0e-9 < self._next_epoch_s:
+        if not self._clock.due(time_s):
             return None
-        self._next_epoch_s = time_s + self._planner.epoch_seconds
 
         oracle: _OracleForecaster = self._planner.predictor  # type: ignore[assignment]
         oracle.set_cursor(min(step, self._future.shape[0] - 1))
@@ -132,7 +131,7 @@ class OracleDNORPolicy(ReconfigurationPolicy):
         """Clear history and epoch state."""
         self._history = []
         self._current = None
-        self._next_epoch_s = 0.0
+        self._clock.reset()
         self._step = 0
         self._switch_count = 0
 

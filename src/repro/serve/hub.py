@@ -159,33 +159,50 @@ class SessionHub:
         for members in dnor_groups.values():
             for sid, new_records in self._run_dnor_rounds(members).items():
                 emitted.setdefault(sid, []).extend(new_records)
-        for key, members in groups.items():
-            n_modules, module, _converter = key
-            counts = [len(s.pending) for s in members]
-            emf_rows = np.vstack(
-                [p.emf_row for s in members for p in s.pending]
-            )
-            # Same Thevenin arithmetic as PeriodicPolicy's scalar path:
-            # the module model's nominal chain resistance.
-            resistance = np.full(int(n_modules), module.internal_resistance())
-            charger = members[0].scenario.make_charger(with_battery=False)
-            results = inor_stack(emf_rows, resistance, charger=charger)
-            self._stats.stacked_passes += 1
-            self._stats.rows_decided += emf_rows.shape[0]
-            self._stats.max_rows_per_pass = max(
-                self._stats.max_rows_per_pass, emf_rows.shape[0]
-            )
-            self._stats.max_sessions_per_pass = max(
-                self._stats.max_sessions_per_pass, len(members)
-            )
-            offset = 0
-            for session, count in zip(members, counts):
-                starts = [
-                    tuple(int(v) for v in results[offset + j].config.starts)
-                    for j in range(count)
-                ]
-                offset += count
-                emitted[session.session_id] = session.resolve_pending(starts)
+        for members in groups.values():
+            emitted.update(self._run_inor_group(members))
+        return emitted
+
+    def _count_pass(self, rows: int, sessions: int) -> None:
+        """Account one stacked kernel pass in :attr:`stats`."""
+        stats = self._stats
+        stats.stacked_passes += 1
+        stats.rows_decided += rows
+        stats.max_rows_per_pass = max(stats.max_rows_per_pass, rows)
+        stats.max_sessions_per_pass = max(
+            stats.max_sessions_per_pass, sessions
+        )
+
+    def _run_inor_group(
+        self, members: List[StreamSession]
+    ) -> Dict[str, List[DecisionRecord]]:
+        """Resolve the members' pending INOR rows in one stacked pass.
+
+        The members share one :func:`_stack_key`; their pending EMF rows
+        are concatenated in queue order, decided by one ``inor_stack``
+        call, and each row's winning configuration goes back to its
+        session.
+        """
+        scenario = members[0].scenario
+        emf_rows = np.vstack([p.emf_row for s in members for p in s.pending])
+        # Same Thevenin arithmetic as PeriodicPolicy's scalar path:
+        # the module model's nominal chain resistance.
+        resistance = np.full(
+            int(scenario.n_modules), scenario.module.internal_resistance()
+        )
+        charger = scenario.make_charger(with_battery=False)
+        results = inor_stack(emf_rows, resistance, charger=charger)
+        self._count_pass(emf_rows.shape[0], len(members))
+        emitted: Dict[str, List[DecisionRecord]] = {}
+        offset = 0
+        for session in members:
+            count = len(session.pending)
+            starts = [
+                tuple(int(v) for v in results[offset + j].config.starts)
+                for j in range(count)
+            ]
+            offset += count
+            emitted[session.session_id] = session.resolve_pending(starts)
         return emitted
 
     def _run_dnor_rounds(
@@ -216,14 +233,7 @@ class SessionHub:
                 time_s=heads[0].time_s,
                 new_rows=[p.new_rows for p in heads],
             )
-            self._stats.stacked_passes += 1
-            self._stats.rows_decided += len(live)
-            self._stats.max_rows_per_pass = max(
-                self._stats.max_rows_per_pass, len(live)
-            )
-            self._stats.max_sessions_per_pass = max(
-                self._stats.max_sessions_per_pass, len(live)
-            )
+            self._count_pass(len(live), len(live))
             for session, decision in zip(live, decisions):
                 record = session.resolve_next_epoch(decision)
                 if record is not None:
@@ -237,19 +247,9 @@ class SessionHub:
         """
         session = self.get(session_id)
         if session.pending_epochs:
-            rounds = self._run_dnor_rounds([session])
-            return rounds.get(session.session_id, [])
-        if not session.pending:
+            emitted = self._run_dnor_rounds([session])
+        elif session.pending:
+            emitted = self._run_inor_group([session])
+        else:
             return []
-        key = _stack_key(session)
-        n_modules, module, _converter = key
-        emf_rows = np.vstack([p.emf_row for p in session.pending])
-        resistance = np.full(int(n_modules), module.internal_resistance())
-        charger = session.scenario.make_charger(with_battery=False)
-        results = inor_stack(emf_rows, resistance, charger=charger)
-        self._stats.stacked_passes += 1
-        self._stats.rows_decided += emf_rows.shape[0]
-        starts = [
-            tuple(int(v) for v in r.config.starts) for r in results
-        ]
-        return session.resolve_pending(starts)
+        return emitted.get(session.session_id, [])

@@ -36,6 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.controller import EpochClock
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim.physics import TracePhysics, TracePhysicsStream
 from repro.sim.scenario import Scenario
@@ -188,11 +189,12 @@ class StreamSession:
             self._resistance = np.full(
                 int(scenario.n_modules), module.internal_resistance()
             )
-            self._next_run_s = 0.0
+            self._clock = EpochClock(scenario.control_period_s)
         else:
             self._policy = _make_policy(scenario, policy, dnor_refit)
             self._policy.reset()
         self._sample_index = 0
+        self._last_time_s = -np.inf
         self._records: List[DecisionRecord] = []
         self._pending: List[PendingDecision] = []
         self._pending_epochs: List[PendingEpoch] = []
@@ -263,26 +265,26 @@ class StreamSession:
         INOR decision rows (:attr:`pending`) or DNOR epochs
         (:attr:`pending_epochs`) — and return ``[]``; their records
         arrive when the hub runs its next stacked epoch.
+
+        A malformed chunk raises :class:`~repro.errors.SimulationError`
+        before any session state changes, so the session can go on with
+        a corrected chunk; see :meth:`_check_chunk`.
         """
         times = np.asarray(time_s, dtype=float)
-        ambient = np.asarray(ambient_c, dtype=float)
-        if times.ndim != 1 or times.size < 1:
-            raise SimulationError(
-                f"chunk time_s must be non-empty 1-D, got {times.shape}"
+        columns = [
+            None if column is None else np.asarray(column, dtype=float)
+            for column in (
+                coolant_inlet_c,
+                coolant_flow_kg_s,
+                ambient_c,
+                air_flow_kg_s,
+                coolant_inlet_sensed_c,
+                coolant_flow_sensed_kg_s,
             )
-        state = self._stream.extend(
-            coolant_inlet_c,
-            coolant_flow_kg_s,
-            ambient,
-            air_flow_kg_s,
-            coolant_inlet_sensed_c,
-            coolant_flow_sensed_kg_s,
-        )
-        if state.n_samples != times.size:
-            raise SimulationError(
-                f"chunk columns of {state.n_samples} samples do not match "
-                f"time_s of {times.size}"
-            )
+        ]
+        self._check_chunk(times, [c for c in columns if c is not None])
+        state = self._stream.extend(*columns)
+        ambient = columns[2]
         scanned = self._scanner.scan_batch(state.sensed_temps_c)
         emitted: List[DecisionRecord] = []
         for j in range(times.size):
@@ -290,12 +292,9 @@ class StreamSession:
             t = float(times[j])
             amb = float(ambient[j])
             if self._inor_stacked:
-                # PeriodicPolicy's gating arithmetic, verbatim.
-                if t + 1.0e-9 < self._next_run_s:
+                # The same epoch gate PeriodicPolicy runs.
+                if not self._clock.due(t):
                     continue
-                self._next_run_s = t + float(
-                    self._scenario.control_period_s
-                )
                 self._pending.append(
                     PendingDecision(
                         index=index,
@@ -332,7 +331,44 @@ class StreamSession:
                     self._records.append(record)
                     emitted.append(record)
         self._sample_index += times.size
+        self._last_time_s = float(times[-1])
         return emitted
+
+    def _check_chunk(
+        self, times: np.ndarray, columns: List[np.ndarray]
+    ) -> None:
+        """Refuse a hostile chunk before it reaches the physics stream.
+
+        Every column must match ``time_s`` sample for sample, every
+        value must be finite, and ``time_s`` must strictly increase,
+        both within the chunk and from the previous chunk's last sample.
+        """
+        where = f"session {self.session_id!r}"
+        if times.ndim != 1 or times.size < 1:
+            raise SimulationError(
+                f"{where}: chunk time_s must be non-empty 1-D, "
+                f"got {times.shape}"
+            )
+        for column in columns:
+            if column.shape != times.shape:
+                raise SimulationError(
+                    f"{where}: chunk columns of shape {column.shape} do "
+                    f"not match time_s of {times.size} samples"
+                )
+        if not np.isfinite(np.stack([times, *columns])).all():
+            raise SimulationError(
+                f"{where}: chunk holds non-finite (NaN or inf) values"
+            )
+        if times[0] <= self._last_time_s:
+            raise SimulationError(
+                f"{where}: chunk starts at t={float(times[0])} s, not "
+                f"after the previous chunk's last sample "
+                f"t={self._last_time_s} s"
+            )
+        if not (np.diff(times) > 0.0).all():
+            raise SimulationError(
+                f"{where}: time_s must strictly increase within the chunk"
+            )
 
     def feed_trace(self, trace, lo: int, hi: int) -> List[DecisionRecord]:
         """Convenience: :meth:`feed` from trace sample slice ``[lo, hi)``."""

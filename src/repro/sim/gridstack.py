@@ -53,6 +53,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.controller import EpochClock
 from repro.core.dnor import dnor_stack
 from repro.core.inor import _inor_stack_raw
 from repro.core.overhead import OverheadEvent
@@ -111,21 +112,13 @@ def _group_key(case, physics_id) -> Tuple:
 def _decision_schedule(time_s: np.ndarray, period_s: float) -> List[int]:
     """Sample indices where a periodic policy fires.
 
-    Replicates the gating arithmetic of
-    :class:`~repro.core.controller.PeriodicPolicy` and
-    :class:`~repro.core.controller.DNORPolicy` exactly (same float
-    comparisons on the same doubles), so the fused loop visits precisely
-    the samples the per-case loops would decide on.
+    Gates through the same :class:`~repro.core.controller.EpochClock`
+    as :class:`~repro.core.controller.PeriodicPolicy` and
+    :class:`~repro.core.controller.DNORPolicy`, so the fused loop visits
+    precisely the samples the per-case loops would decide on.
     """
-    fire: List[int] = []
-    next_run = 0.0
-    for i in range(time_s.size):
-        t = float(time_s[i])
-        if t + 1.0e-9 < next_run:
-            continue
-        next_run = t + float(period_s)
-        fire.append(i)
-    return fire
+    clock = EpochClock(period_s)
+    return [i for i in range(time_s.size) if clock.due(float(time_s[i]))]
 
 
 def _scan_group(cases: Sequence, physics) -> np.ndarray:

@@ -117,11 +117,6 @@ class TracePhysics:
     noiseless: bool
 
     @property
-    def radiator(self) -> ThermalBoundary:
-        """Backward-compatible alias of :attr:`boundary`."""
-        return self.boundary
-
-    @property
     def n_samples(self) -> int:
         """Number of trace samples."""
         return self.trace.n_samples

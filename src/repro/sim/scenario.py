@@ -47,7 +47,6 @@ from repro.teg.model import (
     module_model_from_json_dict,
     module_model_to_json_dict,
 )
-from repro.teg.module import TEGModule
 from repro.teg.segmented import ModuleSegment, SegmentedModule, hybrid_module
 from repro.thermal.boundary import (
     ThermalBoundary,
@@ -66,7 +65,6 @@ from repro.teg.materials import (
     BISMUTH_TELLURIDE,
     LEAD_TELLURIDE,
     SKUTTERUDITE,
-    CoupleMaterial,
 )
 from repro.vehicle.trace import (
     RadiatorTrace,
@@ -80,10 +78,8 @@ from repro.vehicle.trace import (
 #: silently misread.  v2 wrapped the thermal model in a tagged
 #: ``"boundary": {"type": ..., "params": ...}`` envelope; v3 does the
 #: same for the module — ``"module": {"type": ..., "params": ...}``
-#: behind the :mod:`repro.teg.model` registry.  The loader still
-#: accepts v2's flat single-material module dict and v1's top-level
-#: ``"radiator"`` key, so pre-existing shard manifests resume
-#: unchanged.
+#: behind the :mod:`repro.teg.model` registry.  Only the current
+#: version loads; any other is refused with a message naming it.
 SCENARIO_FORMAT_VERSION = 3
 
 #: Trace columns serialised into the JSON form (every array field).
@@ -123,20 +119,6 @@ def _decode_array(text: str) -> np.ndarray:
     """Inverse of :func:`_encode_array` (a fresh writable array)."""
     raw = base64.b64decode(text.encode("ascii"))
     return np.frombuffer(raw, dtype="<f8").astype(float)
-
-
-def _legacy_module_from_dict(module_data: Dict[str, object]) -> TEGModule:
-    """Rebuild the v1/v2 flat single-material module dict.
-
-    Pre-PR-9 manifests carried ``{"name", "n_couples", "material"}``
-    directly — byte-compatible with the single-material model's params
-    dict, so the rebuild is loss-free.
-    """
-    return TEGModule(
-        name=str(module_data["name"]),
-        material=CoupleMaterial(**module_data["material"]),
-        n_couples=int(module_data["n_couples"]),
-    )
 
 
 @dataclass
@@ -187,11 +169,6 @@ class Scenario:
     scanner_noise_std_k: float = 0.08
     nominal_compute_s: Optional[float] = None
     inor_kernel: str = "batched"
-
-    @property
-    def radiator(self) -> ThermalBoundary:
-        """Backward-compatible alias of :attr:`boundary`."""
-        return self.boundary
 
     # ------------------------------------------------------------------
     # Component factories (fresh instances per run, so schemes never
@@ -303,31 +280,17 @@ class Scenario:
         """Rebuild a scenario from :meth:`to_json_dict` output.
 
         Reads the current (v3) layout with its tagged ``"boundary"``
-        and ``"module"`` envelopes, the v2 layout whose module was a
-        flat single-material dict, and the legacy v1 layout whose
-        thermal model was a top-level ``"radiator"`` parameter dict —
-        v1's sub-dict is byte-compatible with
-        :meth:`Radiator.params_dict` and the v1/v2 module dict with the
-        single-material params, so pre-PR-8 and pre-PR-9 shard
-        manifests rebuild the identical scenario (pinned against frozen
-        fixtures in ``tests/test_scenario_compat.py``).
+        and ``"module"`` envelopes; any other ``format_version`` raises
+        :class:`~repro.errors.ConfigurationError`.
         """
         version = data.get("format_version")
-        if version == SCENARIO_FORMAT_VERSION:
-            boundary = boundary_from_json_dict(data["boundary"])
-            module = module_model_from_json_dict(data["module"])
-        elif version == 2:
-            boundary = boundary_from_json_dict(data["boundary"])
-            module = _legacy_module_from_dict(data["module"])
-        elif version == 1:
-            boundary = Radiator.from_params_dict(data["radiator"])
-            module = _legacy_module_from_dict(data["module"])
-        else:
+        if version != SCENARIO_FORMAT_VERSION:
             raise ConfigurationError(
                 f"unsupported scenario format version {version!r} "
-                f"(this library reads versions 1 through "
-                f"{SCENARIO_FORMAT_VERSION})"
+                f"(this library reads version {SCENARIO_FORMAT_VERSION})"
             )
+        boundary = boundary_from_json_dict(data["boundary"])
+        module = module_model_from_json_dict(data["module"])
         trace_data = data["trace"]
         trace = RadiatorTrace(
             name=str(trace_data["name"]),

@@ -89,13 +89,6 @@ from repro.sim.results import SimulationResult, summary_row
 #: one grid-stacked pass each.
 SHARD_FORMAT_VERSION = 2
 
-#: Manifest versions this library still reads.  A v1 shard (no
-#: recorded groups) resumes under v1 semantics: the recorded manifest
-#: is authoritative, every unfinished case stays an individual ticket
-#: and nothing is rewritten — mirroring the scenario format's
-#: read-old/write-new compatibility contract.
-SUPPORTED_SHARD_VERSIONS = (1, 2)
-
 #: Default lease time-to-live.  Generous on purpose: an expired lease
 #: only costs a duplicate (idempotent) execution, while a too-short
 #: TTL makes healthy long cases look dead.
@@ -169,8 +162,7 @@ class ShardManifest:
     resolve to :data:`DEFAULT_LEASE_TTL_S`).
 
     ``groups`` records the fused-group work items as
-    ``(group_id, member_case_ids)`` pairs, in ticket order.  A v1
-    manifest loads with no groups — every case its own ticket.
+    ``(group_id, member_case_ids)`` pairs, in ticket order.
     """
 
     case_ids: Tuple[str, ...]
@@ -289,34 +281,6 @@ class ShardStatus:
         return [f"fused: {info.describe()}" for info in self.fused_groups]
 
 
-def _same_grid(existing_entries, new_entries) -> bool:
-    """Whether a recorded manifest holds the same grid, semantically.
-
-    Compares case entries after a loss-free decode/encode round trip,
-    not raw JSON: a manifest written under an older scenario format
-    (v1's top-level ``"radiator"`` key) still *resumes* against the
-    same grid re-submitted today, because both sides normalise to the
-    current :meth:`Scenario.to_json_dict` layout.  Undecodable entries
-    simply compare unequal (a corrupt manifest is a different grid).
-    """
-    if not isinstance(existing_entries, list):
-        return False
-    if len(existing_entries) != len(new_entries):
-        return False
-    for old, new in zip(existing_entries, new_entries):
-        if not isinstance(old, dict) or old.get("id") != new["id"]:
-            return False
-        try:
-            normalised = ExperimentCase.from_json_dict(
-                old["case"]
-            ).to_json_dict()
-        except Exception:
-            return False
-        if normalised != new["case"]:
-            return False
-    return True
-
-
 def _case_id(index: int) -> str:
     return f"case-{index:05d}"
 
@@ -430,13 +394,9 @@ def init_shard(
     }
     existing = _read_json(paths.manifest) if paths.manifest.is_file() else None
     if existing is not None:
-        # An older (v1) manifest with the same grid is a valid resume:
-        # its recorded layout — no fused groups — stays authoritative,
-        # exactly like an old scenario format decoding losslessly.
-        if existing.get(
-            "version"
-        ) not in SUPPORTED_SHARD_VERSIONS or not _same_grid(
-            existing.get("cases"), payload["cases"]
+        if (
+            existing.get("version") != SHARD_FORMAT_VERSION
+            or existing.get("cases") != payload["cases"]
         ):
             raise SimulationError(
                 f"shard directory {paths.root} already holds a different "
@@ -501,11 +461,10 @@ def _load_manifest(paths: _ShardPaths) -> ShardManifest:
             f"{MANIFEST_NAME}); run 'repro shard init' first"
         )
     version = data.get("version")
-    if version not in SUPPORTED_SHARD_VERSIONS:
-        supported = ", ".join(str(v) for v in SUPPORTED_SHARD_VERSIONS)
+    if version != SHARD_FORMAT_VERSION:
         raise SimulationError(
             f"shard manifest version {version!r} is not supported "
-            f"(this library reads versions {supported})"
+            f"(this library reads version {SHARD_FORMAT_VERSION})"
         )
     case_ids = tuple(entry["id"] for entry in data["cases"])
     cases = tuple(
@@ -516,11 +475,9 @@ def _load_manifest(paths: _ShardPaths) -> ShardManifest:
         paths.root / "cache" if cache_value is None else Path(cache_value)
     )
     ttl_value = data.get("lease_ttl_s")
-    # v1 manifests predate fused groups; their recorded layout (every
-    # case an individual ticket) stays in force on resume.
     groups = tuple(
         (str(entry["id"]), tuple(str(c) for c in entry["case_ids"]))
-        for entry in data.get("groups", [])
+        for entry in data["groups"]
     )
     return ShardManifest(
         case_ids=case_ids,

@@ -321,12 +321,7 @@ class Radiator(ThermalBoundary):
     # ThermalBoundary serialisation contract
     # ------------------------------------------------------------------
     def params_dict(self) -> Dict[str, object]:
-        """Every radiator parameter by value, JSON-safe.
-
-        The layout is byte-for-byte the legacy top-level ``"radiator"``
-        sub-dict of pre-versioned scenario JSON, so the compat loader
-        is simply ``Radiator.from_params_dict(legacy["radiator"])``.
-        """
+        """Every radiator parameter by value, JSON-safe."""
         ua = self._exchanger.ua_model
         return {
             "geometry": {

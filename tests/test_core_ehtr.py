@@ -9,7 +9,7 @@ from repro.core.inor import inor
 from repro.errors import ConfigurationError
 
 
-def radiator_like(n: int, seed: int = 0) -> tuple:
+def decaying_field(n: int, seed: int = 0) -> tuple:
     rng = np.random.default_rng(seed)
     delta_t = 12.0 + 55.0 * np.exp(-2.2 * np.linspace(0, 1, n))
     delta_t += rng.normal(0.0, 1.5, n)
@@ -18,14 +18,14 @@ def radiator_like(n: int, seed: int = 0) -> tuple:
 
 class TestEHTR:
     def test_returns_valid_configuration(self):
-        emf, res = radiator_like(25)
+        emf, res = decaying_field(25)
         result = ehtr(emf, res)
         assert result.config.n_modules == 25
         assert sum(result.config.group_sizes) == 25
 
     def test_near_optimal_on_small_chain(self):
         for seed in range(4):
-            emf, res = radiator_like(12, seed)
+            emf, res = decaying_field(12, seed)
             exact = best_partition_brute_force(emf, res)
             result = ehtr(emf, res)
             assert result.mpp.power_w >= 0.97 * exact.mpp.power_w
@@ -33,19 +33,19 @@ class TestEHTR:
     def test_raw_power_at_least_inor_raw(self):
         """EHTR scans every n and refines, so its *electrical* MPP
         should not lose to INOR's restricted scan."""
-        emf, res = radiator_like(40, 3)
+        emf, res = decaying_field(40, 3)
         e = ehtr(emf, res)
         i = inor(emf, res, n_min=6, n_max=14)
         assert e.mpp.power_w >= i.mpp.power_w * (1.0 - 1e-9)
 
     def test_refinement_improves_or_matches_greedy(self):
-        emf, res = radiator_like(30, 1)
+        emf, res = decaying_field(30, 1)
         refined = ehtr(emf, res)
         unrefined = ehtr(emf, res, max_sweeps_per_n=0)
         assert refined.mpp.power_w >= unrefined.mpp.power_w * (1.0 - 1e-12)
 
     def test_sweep_count_reported(self):
-        emf, res = radiator_like(30, 1)
+        emf, res = decaying_field(30, 1)
         result = ehtr(emf, res)
         assert result.refinement_sweeps > 0
 
@@ -54,7 +54,7 @@ class TestEHTR:
         premium over INOR at N = 100."""
         import time
 
-        emf, res = radiator_like(100, 2)
+        emf, res = decaying_field(100, 2)
         t0 = time.perf_counter()
         ehtr(emf, res)
         t_ehtr = time.perf_counter() - t0
@@ -69,7 +69,7 @@ class TestEHTR:
             ehtr(np.ones(5), np.ones(4))
 
     def test_deterministic(self):
-        emf, res = radiator_like(30, 4)
+        emf, res = decaying_field(30, 4)
         a = ehtr(emf, res)
         b = ehtr(emf, res)
         assert a.config == b.config

@@ -143,7 +143,7 @@ class TestRegistryParity:
     def test_noiseless_skips_sensed_solve(self, scenarios):
         scenario = scenarios[("porter-ii", "noiseless")]
         physics = TracePhysics.compute(
-            scenario.trace, scenario.radiator, scenario.module,
+            scenario.trace, scenario.boundary, scenario.module,
             scenario.n_modules,
         )
         assert physics.noiseless
@@ -164,12 +164,12 @@ class TestCachedPhysicsBitIdentical:
 
         warm = PhysicsCache(cache_dir=tmp_path / "store")
         warm.get_or_compute(
-            scenario.trace, scenario.radiator, scenario.module,
+            scenario.trace, scenario.boundary, scenario.module,
             scenario.n_modules,
         )
         reader = PhysicsCache(cache_dir=tmp_path / "store")
         physics = reader.get_or_compute(
-            scenario.trace, scenario.radiator, scenario.module,
+            scenario.trace, scenario.boundary, scenario.module,
             scenario.n_modules,
         )
         assert reader.stats.disk_hits == 1  # served from the artifact

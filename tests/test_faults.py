@@ -12,7 +12,7 @@ from repro.power.charger import TEGCharger
 from repro.teg.faults import FaultMask
 
 
-def radiator_field(n=30, seed=0):
+def decaying_field(n=30, seed=0):
     rng = np.random.default_rng(seed)
     delta_t = 12.0 + 55.0 * np.exp(-2.2 * np.linspace(0, 1, n))
     delta_t += rng.normal(0.0, 1.0, n)
@@ -74,7 +74,7 @@ class TestFaultMask:
 
 class TestFaultAwareInor:
     def test_healthy_mask_near_plain_inor(self):
-        emf, res = radiator_field()
+        emf, res = decaying_field()
         charger = TEGCharger()
         plain = inor(emf, res, charger=charger)
         aware = fault_aware_inor(
@@ -83,7 +83,7 @@ class TestFaultAwareInor:
         assert aware.delivered_power_w >= 0.97 * plain.delivered_power_w
 
     def test_result_always_feasible(self):
-        emf, res = radiator_field()
+        emf, res = decaying_field()
         charger = TEGCharger()
         for seed in range(6):
             mask = FaultMask.random(emf.size, 2, 3, seed=seed)
@@ -96,7 +96,7 @@ class TestFaultAwareInor:
         Build the mask *against* plain INOR's choice — forbid one of
         its boundaries — and check the fault-aware variant still finds
         a feasible, productive configuration."""
-        emf, res = radiator_field()
+        emf, res = decaying_field()
         charger = TEGCharger()
         plain = inor(emf, res, charger=charger)
         forbidden_boundary = plain.config.starts[1]
@@ -111,7 +111,7 @@ class TestFaultAwareInor:
 
     def test_graceful_degradation(self):
         """A handful of stuck switches costs percent, not halves."""
-        emf, res = radiator_field()
+        emf, res = decaying_field()
         charger = TEGCharger()
         healthy = fault_aware_inor(
             emf, res, FaultMask.healthy(emf.size), charger=charger
@@ -125,13 +125,13 @@ class TestFaultAwareInor:
         assert worst > 0.80 * healthy.delivered_power_w
 
     def test_mask_size_mismatch_rejected(self):
-        emf, res = radiator_field()
+        emf, res = decaying_field()
         with pytest.raises(ConfigurationError):
             fault_aware_inor(emf, res, FaultMask.healthy(5))
 
     def test_all_parallel_stuck_chain(self):
         """Every junction stuck parallel: only the single group remains."""
-        emf, res = radiator_field(10)
+        emf, res = decaying_field(10)
         mask = FaultMask(
             n_modules=10, stuck_parallel=frozenset(range(9))
         )
@@ -140,7 +140,7 @@ class TestFaultAwareInor:
 
     def test_all_series_stuck_chain(self):
         """Every junction stuck series: only the all-series chain remains."""
-        emf, res = radiator_field(10)
+        emf, res = decaying_field(10)
         mask = FaultMask(n_modules=10, stuck_series=frozenset(range(9)))
         result = fault_aware_inor(emf, res, mask)
         assert result.config.starts == tuple(range(10))
@@ -158,7 +158,7 @@ class TestFaultProperties:
         """fault_aware_inor output is feasible for any random mask."""
         if n_series + n_parallel > n - 1:
             return
-        emf, res = radiator_field(n, seed=seed)
+        emf, res = decaying_field(n, seed=seed)
         mask = FaultMask.random(n, n_series, n_parallel, seed=seed)
         result = fault_aware_inor(emf, res, mask, charger=TEGCharger())
         assert mask.is_feasible(result.config.starts)

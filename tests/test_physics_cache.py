@@ -21,7 +21,7 @@ def scenario():
 
 def compute_physics(scenario):
     return TracePhysics.compute(
-        scenario.trace, scenario.radiator, scenario.module, scenario.n_modules
+        scenario.trace, scenario.boundary, scenario.module, scenario.n_modules
     )
 
 
@@ -68,7 +68,7 @@ class TestFingerprint:
 
     def test_n_modules_change_invalidates(self, scenario):
         fp = physics_fingerprint(
-            scenario.trace, scenario.radiator, scenario.module, 25
+            scenario.trace, scenario.boundary, scenario.module, 25
         )
         assert fp != scenario.physics_fingerprint()
 
@@ -85,7 +85,7 @@ class TestFingerprint:
         from repro.teg.datasheet import TGM_287_1_0_1_5
 
         fp = physics_fingerprint(
-            scenario.trace, scenario.radiator, TGM_287_1_0_1_5,
+            scenario.trace, scenario.boundary, TGM_287_1_0_1_5,
             scenario.n_modules,
         )
         assert fp != scenario.physics_fingerprint()
@@ -96,12 +96,12 @@ class TestMemoryTier:
         cache = PhysicsCache()
         assert cache.stats == CacheStats()
         cache.get_or_compute(
-            scenario.trace, scenario.radiator, scenario.module,
+            scenario.trace, scenario.boundary, scenario.module,
             scenario.n_modules,
         )
         assert cache.stats.misses == 1 and cache.stats.hits == 0
         cache.get_or_compute(
-            scenario.trace, scenario.radiator, scenario.module,
+            scenario.trace, scenario.boundary, scenario.module,
             scenario.n_modules,
         )
         stats = cache.stats
@@ -112,14 +112,14 @@ class TestMemoryTier:
     def test_hits_rebind_to_live_objects(self, scenario):
         cache = PhysicsCache()
         cache.get_or_compute(
-            scenario.trace, scenario.radiator, scenario.module,
+            scenario.trace, scenario.boundary, scenario.module,
             scenario.n_modules,
         )
         rebuilt = default_scenario(
             duration_s=15.0, seed=5, n_modules=16, nominal_compute_s=1.0e-3
         )
         physics = cache.get_or_compute(
-            rebuilt.trace, rebuilt.radiator, rebuilt.module, rebuilt.n_modules
+            rebuilt.trace, rebuilt.boundary, rebuilt.module, rebuilt.n_modules
         )
         assert cache.stats.memory_hits == 1
         assert physics.trace is rebuilt.trace  # passes simulator validation
@@ -128,15 +128,15 @@ class TestMemoryTier:
     def test_lru_eviction(self, scenario):
         cache = PhysicsCache(max_entries=1)
         cache.get_or_compute(
-            scenario.trace, scenario.radiator, scenario.module,
+            scenario.trace, scenario.boundary, scenario.module,
             scenario.n_modules,
         )
         cache.get_or_compute(
-            scenario.trace, scenario.radiator, scenario.module, 9
+            scenario.trace, scenario.boundary, scenario.module, 9
         )
         assert len(cache) == 1
         cache.get_or_compute(
-            scenario.trace, scenario.radiator, scenario.module,
+            scenario.trace, scenario.boundary, scenario.module,
             scenario.n_modules,
         )
         assert cache.stats.misses == 3  # first entry was evicted
@@ -150,14 +150,14 @@ class TestDiskTier:
     def test_round_trip_is_bit_identical(self, scenario, tmp_path):
         writer = PhysicsCache(cache_dir=tmp_path)
         stored = writer.get_or_compute(
-            scenario.trace, scenario.radiator, scenario.module,
+            scenario.trace, scenario.boundary, scenario.module,
             scenario.n_modules,
         )
         assert len(writer.artifacts()) == 1
 
         reader = PhysicsCache(cache_dir=tmp_path)
         loaded = reader.get_or_compute(
-            scenario.trace, scenario.radiator, scenario.module,
+            scenario.trace, scenario.boundary, scenario.module,
             scenario.n_modules,
         )
         assert reader.stats.disk_hits == 1 and reader.stats.misses == 0
@@ -172,10 +172,10 @@ class TestDiskTier:
         )
         writer = PhysicsCache(cache_dir=tmp_path)
         writer.get_or_compute(
-            trace, scenario.radiator, scenario.module, scenario.n_modules
+            trace, scenario.boundary, scenario.module, scenario.n_modules
         )
         loaded = PhysicsCache(cache_dir=tmp_path).get_or_compute(
-            trace, scenario.radiator, scenario.module, scenario.n_modules
+            trace, scenario.boundary, scenario.module, scenario.n_modules
         )
         assert loaded.noiseless
         assert loaded.sensed_solution is loaded.true_solution
@@ -183,7 +183,7 @@ class TestDiskTier:
     def test_corrupt_artifact_is_recomputed_and_rewritten(self, scenario, tmp_path):
         writer = PhysicsCache(cache_dir=tmp_path)
         writer.get_or_compute(
-            scenario.trace, scenario.radiator, scenario.module,
+            scenario.trace, scenario.boundary, scenario.module,
             scenario.n_modules,
         )
         artifact = writer.artifacts()[0]
@@ -191,7 +191,7 @@ class TestDiskTier:
 
         recovering = PhysicsCache(cache_dir=tmp_path)
         physics = recovering.get_or_compute(
-            scenario.trace, scenario.radiator, scenario.module,
+            scenario.trace, scenario.boundary, scenario.module,
             scenario.n_modules,
         )
         stats = recovering.stats
@@ -200,7 +200,7 @@ class TestDiskTier:
 
         healed = PhysicsCache(cache_dir=tmp_path)
         healed.get_or_compute(
-            scenario.trace, scenario.radiator, scenario.module,
+            scenario.trace, scenario.boundary, scenario.module,
             scenario.n_modules,
         )
         assert healed.stats.disk_hits == 1  # the rewrite healed the store
@@ -208,7 +208,7 @@ class TestDiskTier:
     def test_clear_disk(self, scenario, tmp_path):
         cache = PhysicsCache(cache_dir=tmp_path)
         cache.get_or_compute(
-            scenario.trace, scenario.radiator, scenario.module,
+            scenario.trace, scenario.boundary, scenario.module,
             scenario.n_modules,
         )
         cache.clear(disk=True)

@@ -31,7 +31,7 @@ def _noiseless_copy(trace):
 
 def _stream_whole_trace(scenario, trace, chunk):
     stream = TracePhysicsStream(
-        scenario.radiator, scenario.module, scenario.n_modules
+        scenario.boundary, scenario.module, scenario.n_modules
     )
     n = trace.n_samples
     size = n if chunk is None else chunk
@@ -58,7 +58,7 @@ def test_stream_bit_identical_to_compute(name, chunk, noiseless):
         _noiseless_copy(scenario.trace) if noiseless else scenario.trace
     )
     reference = TracePhysics.compute(
-        trace, scenario.radiator, scenario.module, scenario.n_modules
+        trace, scenario.boundary, scenario.module, scenario.n_modules
     )
     stream, states = _stream_whole_trace(scenario, trace, chunk)
 
@@ -118,7 +118,7 @@ def test_mixed_noise_chunks_snapshot_is_noisy():
     trace = scenario.trace
     clean = _noiseless_copy(trace)
     stream = TracePhysicsStream(
-        scenario.radiator, scenario.module, scenario.n_modules
+        scenario.boundary, scenario.module, scenario.n_modules
     )
     mid = trace.n_samples // 2
     first = stream.extend_trace(clean, 0, mid)
@@ -131,7 +131,7 @@ def test_snapshot_validates_sample_count():
     scenario = build_named_scenario("porter-ii", duration_s=8.0, n_modules=4)
     trace = scenario.trace
     stream = TracePhysicsStream(
-        scenario.radiator, scenario.module, scenario.n_modules
+        scenario.boundary, scenario.module, scenario.n_modules
     )
     stream.extend_trace(trace, 0, trace.n_samples - 3)
     with pytest.raises(SimulationError, match="samples"):
@@ -141,7 +141,7 @@ def test_snapshot_validates_sample_count():
 def test_extend_rejects_bad_columns():
     scenario = build_named_scenario("porter-ii", duration_s=8.0, n_modules=4)
     stream = TracePhysicsStream(
-        scenario.radiator, scenario.module, scenario.n_modules
+        scenario.boundary, scenario.module, scenario.n_modules
     )
     with pytest.raises(SimulationError):
         stream.extend(
@@ -162,7 +162,7 @@ def test_scanner_chunk_parity():
     """
     scenario = build_named_scenario("porter-ii", duration_s=10.0, n_modules=6)
     physics = TracePhysics.compute(
-        scenario.trace, scenario.radiator, scenario.module, scenario.n_modules
+        scenario.trace, scenario.boundary, scenario.module, scenario.n_modules
     )
     whole = scenario.make_scanner()
     whole.reset()

@@ -56,7 +56,7 @@ class TestTraceCalibrationPins:
         scenario = default_scenario(duration_s=60.0, seed=2018)
         trace = scenario.trace
         i = trace.n_samples // 2
-        op = scenario.radiator.operating_point(
+        op = scenario.boundary.operating_point(
             float(trace.coolant_inlet_c[i]),
             float(trace.coolant_flow_kg_s[i]),
             float(trace.ambient_c[i]),

@@ -248,8 +248,14 @@ class TestHubStacking:
         session = hub.add(StreamSession(scenario, "INOR", "tail"))
         session.feed_trace(scenario.trace, 0, scenario.trace.n_samples)
         assert session.pending
+        n_rows = len(session.pending)
         hub.drain("tail")
         assert not session.pending
+        stats = hub.stats
+        assert stats.stacked_passes == 1
+        assert stats.rows_decided == n_rows
+        assert stats.max_rows_per_pass == n_rows
+        assert stats.max_sessions_per_pass == 1
         _assert_logs_equal(
             session.records,
             offline_decision_log(scenario, "INOR"),
@@ -272,6 +278,54 @@ class TestSessionValidation:
                 trace.ambient_c[:4],
                 trace.air_flow_kg_s[:4],
             )
+
+    @pytest.mark.parametrize(
+        "flaw,rule",
+        [
+            ("nan", "non-finite"),
+            ("inf", "non-finite"),
+            ("reversed_time", "strictly increase within"),
+            ("stale_time", "not after the previous chunk"),
+            ("short_column", "do not match"),
+        ],
+    )
+    def test_hostile_chunk_leaves_session_untouched(self, flaw, rule):
+        """A rejected chunk changes nothing: feeding the clean trace
+        afterwards still gives the offline decision log."""
+        scenario = build_named_scenario(
+            "porter-ii", duration_s=6.0, n_modules=9
+        )
+        trace = scenario.trace
+        hub = SessionHub()
+        session = hub.add(StreamSession(scenario, "INOR", "hostile"))
+        half = trace.n_samples // 2
+        session.feed_trace(trace, 0, half)
+        hub.run_epoch()
+        chunk = {
+            name: np.array(getattr(trace, name)[half:half + 4])
+            for name in FEED_COLUMNS
+        }
+        if flaw == "nan":
+            chunk["coolant_inlet_c"][2] = np.nan
+        elif flaw == "inf":
+            chunk["air_flow_kg_s"][1] = np.inf
+        elif flaw == "reversed_time":
+            chunk["time_s"] = chunk["time_s"][::-1].copy()
+        elif flaw == "stale_time":
+            chunk["time_s"] = np.array(trace.time_s[half - 4:half])
+        else:
+            chunk["coolant_flow_kg_s"] = chunk["coolant_flow_kg_s"][:3]
+        records = session.records
+        with pytest.raises(SimulationError, match=rule) as excinfo:
+            session.feed(**chunk)
+        assert "hostile" in str(excinfo.value)
+        assert session.n_samples_seen == half
+        assert session.records == records and not session.pending
+        session.feed_trace(trace, half, trace.n_samples)
+        hub.run_epoch()
+        _assert_logs_equal(
+            session.records, offline_decision_log(scenario, "INOR"), flaw
+        )
 
     def test_unknown_policy_rejected(self):
         scenario = build_named_scenario(

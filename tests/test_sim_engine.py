@@ -48,7 +48,7 @@ def scenario():
 @pytest.fixture(scope="module")
 def physics(scenario):
     return TracePhysics.compute(
-        scenario.trace, scenario.radiator, scenario.module, scenario.n_modules
+        scenario.trace, scenario.boundary, scenario.module, scenario.n_modules
     )
 
 
@@ -76,7 +76,7 @@ def assert_results_bit_identical(a, b):
 class TestSolveTraceAgreement:
     def test_matches_per_sample_operating_point(self, scenario):
         trace = scenario.trace
-        sol = scenario.radiator.solve_trace(
+        sol = scenario.boundary.solve_trace(
             trace.coolant_inlet_c,
             trace.coolant_flow_kg_s,
             trace.ambient_c,
@@ -86,7 +86,7 @@ class TestSolveTraceAgreement:
         assert sol.n_samples == trace.n_samples
         assert sol.n_modules == scenario.n_modules
         for i in range(trace.n_samples):
-            op = scenario.radiator.operating_point(
+            op = scenario.boundary.operating_point(
                 float(trace.coolant_inlet_c[i]),
                 float(trace.coolant_flow_kg_s[i]),
                 float(trace.ambient_c[i]),
@@ -107,7 +107,7 @@ class TestSolveTraceAgreement:
     def test_cold_start_rows_match_degenerate_path(self):
         scenario = build_named_scenario("cold-start", duration_s=30.0)
         trace = scenario.trace
-        sol = scenario.radiator.solve_trace(
+        sol = scenario.boundary.solve_trace(
             trace.coolant_inlet_c,
             trace.coolant_flow_kg_s,
             trace.ambient_c,
@@ -116,7 +116,7 @@ class TestSolveTraceAgreement:
         )
         assert not sol.active.all()  # the soak starts below ambient + 0.05
         i = int(np.flatnonzero(~sol.active)[0])
-        op = scenario.radiator.operating_point(
+        op = scenario.boundary.operating_point(
             float(trace.coolant_inlet_c[i]),
             float(trace.coolant_flow_kg_s[i]),
             float(trace.ambient_c[i]),
@@ -143,7 +143,7 @@ class TestTracePhysics:
             coolant_flow_sensed_kg_s=trace.coolant_flow_kg_s,
         )
         physics = TracePhysics.compute(
-            noiseless, scenario.radiator, scenario.module, scenario.n_modules
+            noiseless, scenario.boundary, scenario.module, scenario.n_modules
         )
         assert physics.noiseless
         assert physics.sensed_solution is physics.true_solution

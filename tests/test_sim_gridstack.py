@@ -3,7 +3,7 @@
 The executor-level *bitwise* parity against ``executor="serial"`` lives
 in :mod:`tests.test_engine_parity`; this module pins the plumbing around
 the fused pass — which cases may fuse (:func:`fusable_reason`), that the
-replicated decision schedule is exactly the
+fused decision schedule is exactly the
 :class:`~repro.core.controller.PeriodicPolicy` gating, that unfusable
 cases fall back to the untouched per-case path in collation order, and
 that group failures surface with the member case names attached.
@@ -86,9 +86,22 @@ class TestFusableReason:
         assert reason is not None and "P&O" in reason
 
 
+def _policy_firings(scenario, time_s, period):
+    """Sample indices where a real PeriodicPolicy returns a decision."""
+    policy = PeriodicPolicy(
+        module=scenario.module, algorithm="inor", period_s=period
+    )
+    temps = np.linspace(90.0, 60.0, N_MODULES)
+    return [
+        i
+        for i, t in enumerate(time_s)
+        if policy.decide(float(t), temps, 25.0) is not None
+    ]
+
+
 class TestDecisionSchedule:
-    """The replicated schedule is the PeriodicPolicy gate, float for
-    float — fed the same doubles, it must fire on the same samples."""
+    """The fused schedule is the PeriodicPolicy gate, float for float —
+    fed the same doubles, it must fire on the same samples."""
 
     @pytest.mark.parametrize(
         "dt,period",
@@ -96,16 +109,7 @@ class TestDecisionSchedule:
     )
     def test_matches_periodic_policy_gate(self, scenario, dt, period):
         time_s = np.arange(120) * dt
-        policy = PeriodicPolicy(
-            module=scenario.module, algorithm="inor", period_s=period
-        )
-        fired = []
-        for i, t in enumerate(time_s):
-            t = float(t)
-            if t + 1.0e-9 < policy._next_run_s:
-                continue
-            policy._next_run_s = t + policy.period_s
-            fired.append(i)
+        fired = _policy_firings(scenario, time_s, period)
         assert _decision_schedule(time_s, period) == fired
 
     def test_first_sample_always_fires(self):
@@ -131,16 +135,7 @@ class TestDecisionSchedule:
         steps[25] = 3.0  # a telemetry gap longer than the period
         time_s = np.concatenate([[0.0], np.cumsum(steps)])
         period = 0.5
-        policy = PeriodicPolicy(
-            module=scenario.module, algorithm="inor", period_s=period
-        )
-        fired = []
-        for i, t in enumerate(time_s):
-            t = float(t)
-            if t + 1.0e-9 < policy._next_run_s:
-                continue
-            policy._next_run_s = t + policy.period_s
-            fired.append(i)
+        fired = _policy_firings(scenario, time_s, period)
         assert fired  # the jittered trace must actually fire
         assert _decision_schedule(time_s, period) == fired
 
@@ -150,7 +145,7 @@ class TestGroupingAndFallback:
         from repro.sim.physics import TracePhysics
 
         physics = TracePhysics.compute(
-            scenario.trace, scenario.radiator, scenario.module,
+            scenario.trace, scenario.boundary, scenario.module,
             scenario.n_modules,
         )
         base = _group_key(_case(scenario), id(physics))
@@ -173,7 +168,7 @@ class TestGroupingAndFallback:
             [scenario], ["INOR", "Baseline"], scanner_noise_std_k=[0.02, 0.1]
         )
         physics = TracePhysics.compute(
-            scenario.trace, scenario.radiator, scenario.module,
+            scenario.trace, scenario.boundary, scenario.module,
             scenario.n_modules,
         )
         results = run_grid_stacked(cases, [physics] * len(cases))
@@ -198,7 +193,7 @@ class TestGroupingAndFallback:
         from repro.sim.physics import TracePhysics
 
         physics = TracePhysics.compute(
-            scenario.trace, scenario.radiator, scenario.module,
+            scenario.trace, scenario.boundary, scenario.module,
             scenario.n_modules,
         )
 

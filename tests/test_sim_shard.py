@@ -121,18 +121,18 @@ class TestScenarioJsonRoundTrip:
         scenario = build_named_scenario("industrial-boiler", duration_s=20.0)
         rebuilt = Scenario.from_json(scenario.to_json())
         assert (
-            rebuilt.radiator.geometry.path_length_m
-            == scenario.radiator.geometry.path_length_m
+            rebuilt.boundary.geometry.path_length_m
+            == scenario.boundary.geometry.path_length_m
         )
         assert (
-            rebuilt.radiator.exchanger.ua_model
-            == scenario.radiator.exchanger.ua_model
+            rebuilt.boundary.exchanger.ua_model
+            == scenario.boundary.exchanger.ua_model
         )
-        assert rebuilt.radiator.coolant == scenario.radiator.coolant
-        assert rebuilt.radiator.air == scenario.radiator.air
+        assert rebuilt.boundary.coolant == scenario.boundary.coolant
+        assert rebuilt.boundary.air == scenario.boundary.air
         assert (
-            rebuilt.radiator.sink_preheat_fraction
-            == scenario.radiator.sink_preheat_fraction
+            rebuilt.boundary.sink_preheat_fraction
+            == scenario.boundary.sink_preheat_fraction
         )
 
     def test_simulation_bit_identical_after_round_trip(self, scenario):
@@ -148,10 +148,13 @@ class TestScenarioJsonRoundTrip:
         assert a.overhead_events == b.overhead_events
 
     def test_unknown_version_refused(self, scenario):
+        """The retired v1/v2 layouts and future versions alike fail at
+        load, naming the one version this library reads."""
         data = scenario.to_json_dict()
-        data["format_version"] = 999
-        with pytest.raises(ConfigurationError, match="version"):
-            Scenario.from_json_dict(data)
+        for version in (1, 2, 999):
+            data["format_version"] = version
+            with pytest.raises(ConfigurationError, match="reads version 3"):
+                Scenario.from_json_dict(data)
 
     def test_strict_json(self, scenario):
         json.loads(scenario.to_json())  # strict parse, no NaN tokens
@@ -593,8 +596,7 @@ class TestFusedGroups:
     recorded as ``group-*`` tickets at init and drained through one
     grid-stacked pass per claim; singletons and unfusable cases stay
     ordinary case tickets.  The collation contract is unchanged —
-    bit-identical to serial no matter which route ran a case — and a
-    v1 manifest still resumes, under v1 (ungrouped) semantics.
+    bit-identical to serial no matter which route ran a case.
     """
 
     @pytest.fixture(scope="class")
@@ -737,41 +739,23 @@ class TestFusedGroups:
         out = stream.getvalue()
         assert "group-00000" in out and "group-00001" in out
 
-    def test_v1_manifest_resumes_ungrouped(
-        self, fused_grid, fused_serial, tmp_path
-    ):
-        """A v1 shard (no recorded groups) keeps v1 semantics on
-        resume: per-case tickets, no group items, same collation."""
-        shard = tmp_path / "shard"
-        init_shard(shard, fused_grid)
-        # Rewrite the manifest as the v1 layout and clear the queue, as
-        # if an old release had initialised this shard.
-        manifest_path = shard / "manifest.json"
-        data = json.loads(manifest_path.read_text())
-        data["version"] = 1
-        del data["groups"]
-        manifest_path.write_text(json.dumps(data))
-        for ticket in (shard / "queue" / "pending").iterdir():
-            ticket.unlink()
-        manifest = init_shard(shard, fused_grid)  # resume, not refused
-        assert manifest.groups == ()
-        pending = sorted(p.name for p in (shard / "queue" / "pending").iterdir())
-        assert pending == [f"{cid}.json" for cid in manifest.case_ids]
-        assert shard_status(shard).fused_groups == ()
-        work_shard(shard, worker_id="v1-worker")
-        assert_collations_bit_identical(collate_shard(shard), fused_serial)
-
     def test_unsupported_version_names_supported_range(
         self, fused_grid, tmp_path
     ):
+        """A v1 manifest (the retired ungrouped layout) and a future
+        version are both refused: at load with the supported version
+        named, and at resume as a different grid."""
         shard = tmp_path / "shard"
         init_shard(shard, fused_grid, warm=False)
         manifest_path = shard / "manifest.json"
-        data = json.loads(manifest_path.read_text())
-        data["version"] = 999
-        manifest_path.write_text(json.dumps(data))
-        with pytest.raises(SimulationError, match="versions 1, 2"):
-            load_shard_manifest(shard)
+        written = json.loads(manifest_path.read_text())
+        for version in (1, 999):
+            data = dict(written, version=version)
+            manifest_path.write_text(json.dumps(data))
+            with pytest.raises(SimulationError, match="reads version 2"):
+                load_shard_manifest(shard)
+            with pytest.raises(SimulationError, match="different grid"):
+                init_shard(shard, fused_grid, warm=False)
 
 
 class TestWatchShard:

@@ -101,7 +101,7 @@ class TestDeterminismKnob:
 class TestIdealSeries:
     def test_matches_simulator_ideal(self, scenario, results):
         standalone = ideal_power_series(
-            scenario.trace, scenario.radiator, scenario.module, scenario.n_modules
+            scenario.trace, scenario.boundary, scenario.module, scenario.n_modules
         )
         assert np.allclose(standalone, results["Baseline"].ideal_power_w)
 
