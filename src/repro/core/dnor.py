@@ -20,10 +20,12 @@ paper's "including current second") followed by the ``t_p``-second
 forecast, each sample scored as the charger-delivered power of the
 configuration's exact MPP.  The whole comparison — old configuration
 and every proposal, over every horizon sample — runs as **one**
-stacked kernel call (:func:`repro.teg.network.array_mpp_rows_multi`
-plus one batched charger evaluation); :meth:`DNORPlanner.plan_batch`
-generalises the epoch to several candidate configurations (fault-aware
-or exhaustive proposal generators) at the same single-pass cost.
+stacked kernel call (:func:`repro.teg.network.array_mpp_rows_multi`,
+the one-case form of the kernel :func:`dnor_stack` runs over a case
+grid, plus one batched charger evaluation);
+:meth:`DNORPlanner.plan_batch` generalises the epoch to several
+candidate configurations (fault-aware or exhaustive proposal
+generators) at the same single-pass cost.
 """
 
 from __future__ import annotations
@@ -667,7 +669,7 @@ def dnor_stack(
     # (bit-identical per lane to inor(), via the inor_stack parity pin).
     t0 = time.perf_counter()
     stack, _, _, _, _, winners, _, _ = _inor_stack_raw(
-        emf_rows, resistance, ref._charger, 0.03
+        emf_rows, resistance, ref._charger
     )
     generation_seconds = (time.perf_counter() - t0) / n_lanes
     proposals: list = []

@@ -22,12 +22,15 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core.config import ArrayConfiguration
-from repro.core.inor import converter_aware_group_range, greedy_balanced_partition
+from repro.core.inor import (
+    _score_candidates_batched,
+    converter_aware_group_range,
+    greedy_balanced_partition,
+)
 from repro.errors import ConfigurationError
 from repro.power.charger import TEGCharger
 from repro.teg.faults import FaultMask
 from repro.teg.module import MPPPoint
-from repro.teg.network import array_mpp_multi
 
 
 @dataclass(frozen=True)
@@ -59,7 +62,6 @@ def fault_aware_candidates(
     resistance: np.ndarray,
     mask: FaultMask,
     charger: Optional[TEGCharger] = None,
-    efficiency_drop: float = 0.03,
 ) -> List[ArrayConfiguration]:
     """Feasible Algorithm-1 proposals under a fault mask.
 
@@ -106,9 +108,7 @@ def fault_aware_candidates(
 
     # Per-block summed MPP currents: the greedy walk operates on
     # blocks exactly as plain INOR operates on modules.
-    lo_range, hi_range = converter_aware_group_range(
-        emf, n_modules, charger, efficiency_drop
-    )
+    lo_range, hi_range = converter_aware_group_range(emf, n_modules, charger)
 
     max_groups = min(hi_range, len(blocks))
     min_groups = max(lo_range, len(segments))
@@ -176,18 +176,15 @@ def fault_aware_inor(
     resistance: np.ndarray,
     mask: FaultMask,
     charger: Optional[TEGCharger] = None,
-    efficiency_drop: float = 0.03,
 ) -> FaultAwareResult:
     """Algorithm 1 restricted to fault-feasible configurations.
 
     Generates the feasible candidate set with
     :func:`fault_aware_candidates` and ranks it by (charger-degraded)
-    power — mirroring :func:`repro.core.inor.inor`, including its
-    batched scoring: every candidate's exact MPP comes from one
-    :func:`repro.teg.network.array_mpp_multi` pass and the charger
-    ranking uses the row-vector converter API, bit-identical to the
-    per-candidate loop it replaces (first maximum wins, like the
-    ascending scan).
+    power through :func:`repro.core.inor.inor`'s batched scoring: one
+    :func:`repro.teg.network.array_mpp_multi` pass and the row-vector
+    converter API, first maximum winning like the ascending scan.
+    Candidates are feasible configurations by construction.
 
     Raises
     ------
@@ -196,25 +193,13 @@ def fault_aware_inor(
     """
     emf = np.asarray(emf, dtype=float)
     resistance = np.asarray(resistance, dtype=float)
-    candidates = fault_aware_candidates(
-        emf, resistance, mask, charger, efficiency_drop
-    )
-    power, voltage, current = array_mpp_multi(
-        emf, resistance, [config.starts for config in candidates]
-    )
-    if charger is not None:
-        scores = charger.delivered_batch(power, voltage)
-    else:
-        scores = power
-    best = int(np.argmax(scores))
-    best_mpp = MPPPoint(
-        voltage_v=float(voltage[best]),
-        current_a=float(current[best]),
-        power_w=float(power[best]),
+    candidates = fault_aware_candidates(emf, resistance, mask, charger)
+    best, best_mpp, best_score = _score_candidates_batched(
+        emf, resistance, [config.starts for config in candidates], charger
     )
     return FaultAwareResult(
         config=candidates[best],
         mpp=best_mpp,
-        delivered_power_w=float(scores[best]),
+        delivered_power_w=best_score,
         fault_mask=mask,
     )

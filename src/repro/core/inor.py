@@ -28,14 +28,17 @@ converter efficiency at the MPP voltage); without one, by raw
 electrical MPP power.
 
 The whole decision is vectorised: the default ``kernel="batched"``
-builds the greedy partition of every group count in one
-:func:`repro.teg.network.partition_multi` prefix-sum pass, evaluates
-every candidate's exact MPP through one
-:func:`repro.teg.network.array_mpp_multi` reduction and ranks the
-window with the charger's row-vector API — build + score + rank with
-no per-candidate Python, bit-identical to the retained
-``kernel="scalar"`` reference loop (one greedy walk plus one
-``array_mpp`` call per candidate).
+builds the greedy partition of every group count through
+:func:`repro.teg.network.partition_multi` (the one-case form of the
+stacked partition build), evaluates every candidate's exact MPP through
+:func:`repro.teg.network.array_mpp_multi` (one lane per candidate of
+the shared MPP scoring core) and ranks the window with the charger's
+row-vector API — build + score + rank with no per-candidate Python,
+bit-identical to the retained ``kernel="scalar"`` reference loop (one
+greedy walk plus one ``array_mpp`` call per candidate).
+:func:`inor_stack` runs the same two kernels over a stacked case grid.
+The group-count window comes from the charger at the fixed converter
+tolerance :data:`WINDOW_EFFICIENCY_DROP`.
 """
 
 from __future__ import annotations
@@ -71,13 +74,18 @@ __all__ = [
 ]
 
 #: Valid values of the :func:`inor` ``kernel`` argument.  ``"batched"``
-#: builds the whole candidate window through one
-#: :func:`repro.teg.network.partition_multi` prefix-sum pass and scores
-#: it through one :func:`repro.teg.network.array_mpp_multi` pass;
+#: builds the whole candidate window as a one-case partition stack
+#: (:func:`repro.teg.network.partition_multi`) and scores it in one pass
+#: of the shared scoring core (:func:`repro.teg.network.array_mpp_multi`);
 #: ``"scalar"`` is the pre-vectorisation per-candidate loop, retained as
 #: the reference implementation the batched kernel is pinned
 #: bit-identical against.
 INOR_KERNELS = ("batched", "scalar")
+
+#: Converter-efficiency tolerance below peak that bounds every INOR
+#: group-count window: candidates keep the array MPP voltage inside the
+#: charger's preferred input window at this drop (Section III-B).
+WINDOW_EFFICIENCY_DROP = 0.03
 
 
 def check_inor_kernel(kernel: str) -> str:
@@ -119,15 +127,15 @@ def converter_aware_group_range(
     emf: np.ndarray,
     n_modules: int,
     charger: Optional[TEGCharger] = None,
-    efficiency_drop: float = 0.03,
 ) -> Tuple[int, int]:
     """Group-count window keeping the array MPP voltage converter-friendly.
 
     A balanced configuration of ``n`` groups has an MPP voltage of
     roughly ``n * mean(E) / 2`` (each group's Thevenin EMF is close to
     the chain's mean module EMF).  The window maps the charger's
-    preferred input-voltage band through that estimate.  Without a
-    charger the full ``[1, N]`` range is returned.
+    preferred input-voltage band (at :data:`WINDOW_EFFICIENCY_DROP`)
+    through that estimate.  Without a charger the full ``[1, N]`` range
+    is returned.
 
     The returned window always satisfies
     ``1 <= n_min <= n_max <= n_modules``: both ends are clamped into
@@ -135,23 +143,13 @@ def converter_aware_group_range(
     window for very hot/cold arrays), and non-finite estimates — a
     non-finite mean EMF, or an unbounded preferred-voltage window from
     a zero-curvature converter side — degrade to the full range / the
-    chain length instead of overflowing.
+    chain length instead of overflowing.  This is the one-case call of
+    :func:`converter_aware_group_range_rows`.
     """
-    if charger is None:
-        return 1, int(n_modules)
-    emf = np.asarray(emf, dtype=float)
-    mean_emf = float(emf.mean())
-    if not math.isfinite(mean_emf) or mean_emf <= 0.0:
-        # Array is effectively dead; any n works equally badly.
-        return 1, int(n_modules)
-    v_lo, v_hi = charger.preferred_voltage_window(efficiency_drop)
-    # np.floor/np.ceil propagate inf through the clip instead of
-    # overflowing int() the way math.floor/math.ceil would.
-    n_min = int(np.clip(np.floor(2.0 * v_lo / mean_emf), 1, int(n_modules)))
-    n_max = int(np.clip(np.ceil(2.0 * v_hi / mean_emf), 1, int(n_modules)))
-    if n_max < n_min:  # unreachable after the symmetric clamp; kept as a guard
-        n_min = n_max
-    return n_min, n_max
+    n_mins, n_maxs = converter_aware_group_range_rows(
+        np.asarray(emf, dtype=float)[None], n_modules, charger
+    )
+    return int(n_mins[0]), int(n_maxs[0])
 
 
 def _score_candidates_scalar(
@@ -224,7 +222,6 @@ def inor(
     charger: Optional[TEGCharger] = None,
     n_min: Optional[int] = None,
     n_max: Optional[int] = None,
-    efficiency_drop: float = 0.03,
     kernel: str = "batched",
 ) -> InorResult:
     """Run Algorithm 1 on per-module Thevenin parameters.
@@ -240,15 +237,12 @@ def inor(
     n_min, n_max:
         Explicit range overrides (either may be None to use the
         converter-derived value).
-    efficiency_drop:
-        Converter-efficiency tolerance used to derive the range.
     kernel:
         ``"batched"`` (default) builds every candidate partition in
-        one :func:`repro.teg.network.partition_multi` prefix-sum pass
-        and scores the window in one
-        :func:`repro.teg.network.array_mpp_multi` pass; ``"scalar"``
-        runs the original per-candidate loop (one greedy walk + one
-        ``array_mpp`` per group count).  The two are bit-identical —
+        one :func:`repro.teg.network.partition_multi` pass and scores
+        the window in one :func:`repro.teg.network.array_mpp_multi`
+        pass; ``"scalar"`` runs the original per-candidate loop (one
+        greedy walk + one ``array_mpp`` per group count).  The two are bit-identical —
         same cut indices, same MPPs, same ranking (pinned in the test
         suite) — so the kernel is a speed choice, never a results
         choice.
@@ -270,7 +264,7 @@ def inor(
 
     if n_min is None or n_max is None:
         auto_min, auto_max = converter_aware_group_range(
-            emf, n_modules, charger, efficiency_drop
+            emf, n_modules, charger
         )
     else:
         auto_min = auto_max = 0  # unused: window fully explicit
@@ -312,17 +306,13 @@ def converter_aware_group_range_rows(
     emf_rows: np.ndarray,
     n_modules: int,
     charger: Optional[TEGCharger] = None,
-    efficiency_drop: float = 0.03,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-case group-count windows for a stacked case grid.
 
-    The row-stacked sibling of :func:`converter_aware_group_range`:
-    ``emf_rows`` holds one EMF vector per case and the returned
-    ``(n_mins, n_maxs)`` int64 vectors match the scalar function
-    case-by-case exactly — same mean, same clamps, same degenerate
-    fallbacks — because every step is the same elementwise expression
-    batched over the case axis (the per-row ``mean`` of a contiguous
-    row is bitwise the 1-D ``mean``).
+    The row-stacked form of :func:`converter_aware_group_range` (which
+    is its one-case call): ``emf_rows`` holds one EMF vector per case,
+    and the returned ``(n_mins, n_maxs)`` int64 vectors apply the same
+    window rule case by case.
     """
     emf_rows = np.asarray(emf_rows, dtype=float)
     n_cases = emf_rows.shape[0]
@@ -333,22 +323,27 @@ def converter_aware_group_range_rows(
             np.full(n_cases, n, dtype=np.int64),
         )
     mean_emf = emf_rows.mean(axis=1)
+    # A dead array (non-finite or non-positive mean EMF) takes the full
+    # range: any n works equally badly.
     usable = np.isfinite(mean_emf) & (mean_emf > 0.0)
     safe_mean = np.where(usable, mean_emf, 1.0)
-    v_lo, v_hi = charger.preferred_voltage_window(efficiency_drop)
-    n_mins = np.clip(np.floor(2.0 * v_lo / safe_mean), 1, n).astype(np.int64)
-    n_maxs = np.clip(np.ceil(2.0 * v_hi / safe_mean), 1, n).astype(np.int64)
-    n_mins = np.where(usable, n_mins, 1)
-    n_maxs = np.where(usable, n_maxs, n)
-    n_mins = np.where(n_maxs < n_mins, n_maxs, n_mins)
-    return n_mins, n_maxs
+    v_lo, v_hi = charger.preferred_voltage_window(WINDOW_EFFICIENCY_DROP)
+    # Both ends clamp into [1, N] before the int conversion, so an
+    # unbounded window end (inf) saturates instead of overflowing.
+    n_mins = np.minimum(np.maximum(np.floor(2.0 * v_lo / safe_mean), 1), n)
+    n_maxs = np.minimum(np.maximum(np.ceil(2.0 * v_hi / safe_mean), 1), n)
+    n_mins = n_mins.astype(np.int64)
+    n_maxs = n_maxs.astype(np.int64)
+    n_mins[~usable] = 1
+    n_maxs[~usable] = n
+    # Unreachable after the symmetric clamp; kept as a guard.
+    return np.minimum(n_mins, n_maxs), n_maxs
 
 
 def _inor_stack_raw(
     emf_rows: np.ndarray,
     resistance: np.ndarray,
     charger: Optional[TEGCharger],
-    efficiency_drop: float,
 ):
     """The fused INOR grid pass, returning flat kernel-layer arrays.
 
@@ -362,7 +357,7 @@ def _inor_stack_raw(
     """
     n_cases, n_modules = emf_rows.shape
     n_mins, n_maxs = converter_aware_group_range_rows(
-        emf_rows, n_modules, charger, efficiency_drop
+        emf_rows, n_modules, charger
     )
 
     mpp_current_rows = emf_rows / (2.0 * resistance)
@@ -390,7 +385,6 @@ def inor_stack(
     emf_rows: np.ndarray,
     resistance: np.ndarray,
     charger: Optional[TEGCharger] = None,
-    efficiency_drop: float = 0.03,
 ) -> Tuple[InorResult, ...]:
     """Run Algorithm 1 for a whole homogeneous case grid at once.
 
@@ -420,7 +414,7 @@ def inor_stack(
             f"(N,) resistance, got {emf_rows.shape} and {resistance.shape}"
         )
     stack, power, voltage, current, scores, winners, n_mins, n_maxs = (
-        _inor_stack_raw(emf_rows, resistance, charger, efficiency_drop)
+        _inor_stack_raw(emf_rows, resistance, charger)
     )
     n_cases, n_modules = emf_rows.shape
     widths = np.diff(stack.case_offsets)

@@ -68,28 +68,24 @@ class HubStats:
 
 
 def _stack_key(session: StreamSession) -> Tuple:
-    """Hashable stacking identity: one key, one ``inor_stack`` stream."""
+    """Hashable stacking identity: one key, one stacked decision stream.
+
+    Shaped like :func:`repro.sim.gridstack._group_key`: policy, array
+    size, module electricals and converter, plus for DNOR the horizon
+    geometry ``(tp_seconds, dt_s)`` of the ``dnor_stack`` homogeneity
+    contract (micro-batched DNOR sessions all run the batched INOR
+    kernel).
+    """
     scenario = session.scenario
-    return (
+    key: Tuple = (
+        session.policy_name,
         int(scenario.n_modules),
         scenario.module,
         scenario.make_charger(with_battery=False).converter,
     )
-
-
-def _dnor_stack_key(session: StreamSession) -> Tuple:
-    """Stacking identity for DNOR epoch rounds: the ``dnor_stack``
-    homogeneity contract — shared module electricals, converter and
-    horizon geometry (micro-batched DNOR sessions all run the batched
-    INOR kernel)."""
-    scenario = session.scenario
-    return (
-        int(scenario.n_modules),
-        scenario.module,
-        scenario.make_charger(with_battery=False).converter,
-        float(scenario.tp_seconds),
-        float(scenario.trace.dt_s),
-    )
+    if session.policy_name == "DNOR":
+        key += (float(scenario.tp_seconds), float(scenario.trace.dt_s))
+    return key
 
 
 class SessionHub:
@@ -146,21 +142,16 @@ class SessionHub:
         are omitted).
         """
         groups: Dict[Tuple, List[StreamSession]] = {}
-        dnor_groups: Dict[Tuple, List[StreamSession]] = {}
         for session in self._sessions.values():
-            if session.pending:
+            if session.pending or session.pending_epochs:
                 groups.setdefault(_stack_key(session), []).append(session)
-            elif session.pending_epochs:
-                dnor_groups.setdefault(
-                    _dnor_stack_key(session), []
-                ).append(session)
         self._stats.epochs += 1
         emitted: Dict[str, List[DecisionRecord]] = {}
-        for members in dnor_groups.values():
-            for sid, new_records in self._run_dnor_rounds(members).items():
-                emitted.setdefault(sid, []).extend(new_records)
-        for members in groups.values():
-            emitted.update(self._run_inor_group(members))
+        for key, members in groups.items():
+            if key[0] == "DNOR":
+                emitted.update(self._run_dnor_rounds(members))
+            else:
+                emitted.update(self._run_inor_group(members))
         return emitted
 
     def _count_pass(self, rows: int, sessions: int) -> None:

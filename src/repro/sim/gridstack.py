@@ -277,7 +277,7 @@ def _run_inor_group(cases: Sequence, physics) -> List[SimulationResult]:
         emf_rows = emf_coef * (scanned[:, i, :] - ambient)
         t0 = time.perf_counter()
         stack, _, _, _, _, winners, _, _ = _inor_stack_raw(
-            emf_rows, decision_resistance, rank_charger, 0.03
+            emf_rows, decision_resistance, rank_charger
         )
         runtimes[:, i] = (time.perf_counter() - t0) / n_cases
 

@@ -65,6 +65,7 @@ import shutil
 import socket
 import tempfile
 import time
+import uuid
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -569,6 +570,12 @@ def _requeue_expired(
     A lease whose case already has result artifacts (worker crashed
     after publishing, before releasing) is released instead of
     re-queued.
+
+    Another worker may re-queue a lease and claim the item afresh
+    between this judgement and the move, so the lease is renamed aside
+    under a unique name and judged again there; a live one goes back
+    untouched.  (A crash between those renames leaves the item for the
+    ``init`` resume path to re-queue.)
     """
     now = time.time() if now is None else now
     if default_ttl_s is None:
@@ -582,11 +589,16 @@ def _requeue_expired(
             continue
         if not _lease_expired(lease, now, default_ttl_s):
             continue
+        held = lease.with_name(f"{lease.name}.{uuid.uuid4().hex}.held")
         try:
-            os.rename(lease, paths.ticket(item_id))
+            os.rename(lease, held)
         except OSError:
             continue  # another worker re-queued or the owner finished
-        moved += 1
+        if _lease_expired(held, now, default_ttl_s):
+            os.rename(held, paths.ticket(item_id))
+            moved += 1
+        else:
+            os.rename(held, lease)  # re-claimed meanwhile: a live lease
     return moved
 
 

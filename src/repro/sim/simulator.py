@@ -20,14 +20,15 @@ here only sequences the *stateful* parts — sensor noise, policy
 decisions, switch fabric — and the electrical series is evaluated in
 batched segments of constant configuration through the converter's
 row-vector API.  The policy decisions themselves are vectorised too:
-INOR builds and scores its whole candidate window through the
-``partition_multi`` / ``array_mpp_multi`` kernels and DNOR stacks its
-epoch's horizon energies into one ``array_mpp_rows_multi`` call (both
-bit-identical to their scalar reference loops, selectable via the
-scenario's ``inor_kernel``), so no layer of the engine runs per-sample
-or per-candidate Python.  The pre-refactor sample-by-sample path (two
-boundary solves and a scalar charger step per sample) is retained as
-``engine="reference"`` for cross-validation and benchmarking.
+INOR builds its whole candidate window as a one-case partition stack
+(``partition_multi``) and DNOR stacks its epoch's horizon energies into
+one ``array_mpp_rows_multi`` call, both scored by the one MPP scoring
+core of :mod:`repro.teg.network` (bit-identical to their scalar
+reference loops, selectable via the scenario's ``inor_kernel``), so no
+layer of the engine runs per-sample or per-candidate Python.  The
+pre-refactor sample-by-sample path (two boundary solves and a scalar
+charger step per sample) is retained as ``engine="reference"`` for
+cross-validation and benchmarking.
 
 Runtime accounting wraps every ``decide`` call with a wall-clock
 timer; the measured time also feeds the overhead bill (the paper's

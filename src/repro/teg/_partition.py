@@ -3,7 +3,8 @@
 The build of :func:`repro.teg.network.partition_multi_stack` decomposes
 into three array passes — the cumulative-current **prefix table**, the
 row-wise searchsorted **next-cut map** (with the walk's tie rule and
-flat-run extension), and the **binary-lifting** iteration of that map.
+flat-run extension), and the **binary-lifting** iteration of that map —
+over one cached **candidate layout** of the group-count windows.
 The expression trees here are the ones the scalar walk's cuts are pinned
 against: only the prefix table and the tie-rule comparison touch
 floating point; the next-cut binary search and the lifting gathers are
@@ -13,7 +14,7 @@ integer-exact.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,8 +42,73 @@ def _lift_plan(n_max: int) -> Tuple[Tuple[int, np.ndarray], ...]:
     return tuple(plan)
 
 
+class StackLayout(NamedTuple):
+    """Read-only candidate layout of a stack of group-count windows.
+
+    Per candidate, case after case: its group count, its boundaries
+    into the flat cuts, its owning case; per case, its candidate
+    boundaries (also as the int ``runs`` of ``case_of_candidate``); and
+    the ``(candidates, widest count)`` mask of each candidate's cuts.
+    """
+
+    counts: np.ndarray
+    offsets: np.ndarray
+    case_of_candidate: np.ndarray
+    case_offsets: np.ndarray
+    ragged_mask: np.ndarray
+    runs: Tuple[int, ...]
+
+
+@lru_cache(maxsize=64)
+def stack_layout(
+    n_cases: int, n_mins: bytes, n_maxs: bytes
+) -> Optional[StackLayout]:
+    """The :class:`StackLayout` of ``n_cases`` windows.
+
+    ``n_mins`` / ``n_maxs`` are the bytes of ``int64`` window vectors,
+    or of scalars every case shares.  ``None`` when a window is empty
+    or starts below one group.
+    """
+    lows, highs = (
+        np.broadcast_to(np.frombuffer(window, dtype=np.int64), (n_cases,))
+        for window in (n_mins, n_maxs)
+    )
+    widths = highs - lows + 1
+    if lows.min() < 1 or widths.min() < 1:
+        return None
+    case_offsets = np.concatenate(([0], np.cumsum(widths)))
+    n_candidates = int(case_offsets[-1])
+    case_of_candidate = np.repeat(_index_arange(widths.size), widths)
+    counts = lows.repeat(widths) + (
+        _index_arange(n_candidates) - case_offsets[:-1].repeat(widths)
+    )
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    ragged_mask = _index_arange(int(counts.max()))[None, :] < counts[:, None]
+    for array in (counts, offsets, case_of_candidate, case_offsets, ragged_mask):
+        array.setflags(write=False)
+    return StackLayout(
+        counts=counts,
+        offsets=offsets,
+        case_of_candidate=case_of_candidate,
+        case_offsets=case_offsets,
+        ragged_mask=ragged_mask,
+        runs=tuple(case_offsets.tolist()),
+    )
+
+
+def _row_runs(row_of: np.ndarray) -> List[int]:
+    """Boundaries of the runs of equal consecutive ``row_of`` entries."""
+    if not row_of.size:
+        return []
+    edges = (np.flatnonzero(row_of[1:] != row_of[:-1]) + 1).tolist()
+    return [0, *edges, row_of.size]
+
+
 def searchsorted_rows_right(
-    table_rows: np.ndarray, row_of: np.ndarray, targets: np.ndarray
+    table_rows: np.ndarray,
+    row_of: np.ndarray,
+    targets: np.ndarray,
+    runs: Optional[Sequence[int]] = None,
 ) -> np.ndarray:
     """Row-wise ``searchsorted(side="right")`` across many tables.
 
@@ -53,11 +119,14 @@ def searchsorted_rows_right(
     slice, so a sorted ``row_of`` (every caller's case order) costs one
     call per distinct table row; the results equal
     ``np.searchsorted(table_rows[row_of[k]], targets[k], "right")`` per
-    row for any ``row_of``.
+    row for any ``row_of``.  ``runs`` may pass those run boundaries
+    (``0``, each change of ``row_of``, its length) when already known.
     """
+    if runs is None:
+        runs = _row_runs(row_of)
+    if len(runs) == 2:  # one table row serves every target row
+        return table_rows[row_of[0]].searchsorted(targets, side="right")
     bound = np.empty(targets.shape, dtype=np.int64)
-    edges = (np.flatnonzero(row_of[1:] != row_of[:-1]) + 1).tolist()
-    runs = [0, *edges, row_of.size] if row_of.size else []
     for lo, hi in zip(runs, runs[1:]):
         bound[lo:hi] = table_rows[row_of[lo]].searchsorted(
             targets[lo:hi], side="right"
@@ -72,10 +141,10 @@ def prefix_table(rows: np.ndarray) -> np.ndarray:
     sequential accumulation the scalar walk's group sums bracket
     against (``sum(rows[c, pos:cut]) = prefix[c, cut] - prefix[c, pos]``).
     """
-    n_cases = rows.shape[0]
-    return np.concatenate(
-        (np.zeros((n_cases, 1)), np.cumsum(rows, axis=1)), axis=1
-    )
+    prefix = np.empty((rows.shape[0], rows.shape[1] + 1))
+    prefix[:, 0] = 0.0
+    np.cumsum(rows, axis=1, out=prefix[:, 1:])
+    return prefix
 
 
 def next_cut_map(
@@ -83,6 +152,7 @@ def next_cut_map(
     row_of: np.ndarray,
     ideals: np.ndarray,
     flat_rows: np.ndarray,
+    runs: Optional[Sequence[int]] = None,
 ) -> np.ndarray:
     """The pure next-cut map, all lanes x all positions.
 
@@ -94,39 +164,40 @@ def next_cut_map(
     the bracketing searchsorted bound, the walk's lower-cut-wins tie
     rule, the one-module-per-group floor and the saturation clamp at
     ``N``, plus the flat-run extension through equal prefix values.
+    ``runs`` are ``row_of``'s run boundaries, when already known (see
+    :func:`searchsorted_rows_right`).
     """
-    n_cases = prefix_rows.shape[0]
     n_modules = prefix_rows.shape[1] - 1
     # targets[k, c] = P[c] + I_ideal_k; bound = first prefix entry
     # strictly above it, so (bound-1, bound) bracket the target.
-    targets = prefix_rows[row_of] + ideals[:, None]
-    bound = searchsorted_rows_right(prefix_rows, row_of, targets)
+    targets = prefix_rows[row_of]
+    targets += ideals[:, None]
+    if runs is None:
+        runs = _row_runs(row_of)
+    bound = searchsorted_rows_right(prefix_rows, row_of, targets, runs)
     # Walk tie rule via the bracket midpoint: the lower cut wins only
-    # on strictly smaller error, i.e. P[bound] + P[bound-1] > 2*target
-    # (prefix is padded with +inf so bound = N+1 resolves below).
-    padded = np.concatenate(
-        (prefix_rows, np.full((n_cases, 1), np.inf)), axis=1
-    )
-    padded_flat = padded.reshape(-1)
-    prefix_flat = prefix_rows.reshape(-1)
-    pad_base = (row_of * (n_modules + 2))[:, None]
-    pre_base = (row_of * (n_modules + 1))[:, None]
-    nxt = bound - (
-        padded_flat[pad_base + bound]
-        + prefix_flat[pre_base + bound - 1]
-        > 2.0 * targets
-    )
+    # on strictly smaller error, i.e. P[bound] + P[bound-1] > 2*target.
+    # bound = N+1 (no entry above the target) saturates at N below
+    # whichever way the rule goes, so the bracket reads a clipped bound.
+    upper = np.minimum(bound, n_modules)
+    if len(runs) == 2:  # one table row serves every lane
+        table = prefix_rows[row_of[0]]
+    else:
+        table = prefix_rows.reshape(-1)
+        upper += (row_of * (n_modules + 1))[:, None]
+    nxt = bound - (table[upper] + table[upper - 1] > 2.0 * targets)
     np.maximum(nxt, _index_arange(n_modules + 2)[None, 1:], out=nxt)
     np.minimum(nxt, n_modules, out=nxt)
-    flat_sel = np.flatnonzero(flat_rows[row_of])
-    if flat_sel.size:
+    if flat_rows.any():
         # Zero-current flat runs: equal prefix value means equal error,
         # and the walk extends through ties — jump to the run's end.
+        flat_sel = np.flatnonzero(flat_rows[row_of])
         sub_rows = row_of[flat_sel]
-        sub_base = (sub_rows * (n_modules + 1))[:, None]
         nxt[flat_sel] = (
             searchsorted_rows_right(
-                prefix_rows, sub_rows, prefix_flat[sub_base + nxt[flat_sel]]
+                prefix_rows,
+                sub_rows,
+                prefix_rows[sub_rows[:, None], nxt[flat_sel]],
             )
             - 1
         )

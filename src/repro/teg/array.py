@@ -242,14 +242,10 @@ class TEGArray:
         (e.g. from :meth:`balanced_partitions`) is consumed through its
         flat layout directly.
         """
-        if isinstance(configs, network.PartitionSet):
-            return network.array_mpp_multi(
-                self.emf_vector(), self.resistance_vector(), configs
-            )
+        if not isinstance(configs, network.PartitionSet):
+            configs = [_normalize_starts(config) for config in configs]
         return network.array_mpp_multi(
-            self.emf_vector(),
-            self.resistance_vector(),
-            [_normalize_starts(config) for config in configs],
+            self.emf_vector(), self.resistance_vector(), configs
         )
 
     def balanced_partitions(

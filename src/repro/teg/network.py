@@ -19,13 +19,22 @@ every reduction here is exact:
 All functions are vectorised over numpy arrays; :class:`SegmentThevenin`
 adds O(1) Thevenin lookups for arbitrary contiguous segments via prefix
 sums, which the DP-style algorithms (EHTR, exact optimum) rely on.
+
+Every batched decision kernel, one case or a stacked grid, runs one
+partition build (:func:`partition_multi_stack`, over the array passes
+of :mod:`repro.teg._partition`) and one MPP scoring core
+(:func:`_series_thevenin`); the one-case entry points
+(:func:`partition_multi`, :func:`array_mpp_multi`,
+:func:`array_mpp_rows_multi`) are one-case calls of the stacked ones.
+The scalar :func:`greedy_balanced_partition`, :func:`array_mpp` and
+:func:`array_mpp_rows` are the references they are pinned
+bit-identical against.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -34,29 +43,12 @@ from repro.errors import ConfigurationError
 from repro.teg._pairwise import segmented_pairwise_sum
 from repro.teg._partition import (
     _index_arange,
-    _lift_plan,
     lift_cuts,
     next_cut_map,
     prefix_table,
+    stack_layout,
 )
 from repro.teg.module import MPPPoint
-
-
-@lru_cache(maxsize=128)
-def _window_layout(
-    n_min: int, n_max: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only ``(counts, offsets, ragged mask)`` of a candidate window.
-
-    Pure functions of ``(n_min, n_max)``, shared across the per-decision
-    :func:`partition_multi` calls of a simulation run.
-    """
-    counts = np.arange(n_min, n_max + 1, dtype=np.int64)
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    mask = _index_arange(n_max)[None, :] < counts[:, None]
-    for array in (counts, offsets, mask):
-        array.setflags(write=False)
-    return counts, offsets, mask
 
 
 __all__ = [
@@ -356,37 +348,9 @@ def partition_multi(
     """Greedy balanced partitions for *every* group count in a window.
 
     The candidate-batched sibling of :func:`greedy_balanced_partition`:
-    builds the Algorithm-1 partition for every ``n`` in
-    ``[n_min, n_max]`` from one cumulative-current prefix table,
-    replacing O((n_max - n_min + 1) * N) Python walk steps with a
-    handful of vectorised passes:
-
-    1. One 2-D ``searchsorted`` against the prefix sums resolves, for
-       every candidate and every possible group-start position at
-       once, where the *next* cut would land — the two prefix entries
-       bracketing ``P[pos] + I_ideal`` are compared with the walk's
-       tie rule (extend on equal error, and on through zero-current
-       flat runs), yielding each candidate's pure next-cut map over
-       positions ``0..N``.
-    2. Binary lifting composes that map with itself O(log n_max)
-       times, producing every candidate's j-th cut for all ``j``
-       simultaneously — the sequential walk recursion collapses into
-       gather operations.
-    3. The non-empty-tail constraint is applied as one vectorised
-       clamp ``min(cut_j, N - n + j)``: the next-cut map is monotone
-       in the start position, so clamping after iteration is exactly
-       equivalent to the walk's per-step clamp (once the clamp binds,
-       every later cut is provably the forced consecutive index).
-
-    Cut indices are bit-identical to running the scalar walk per
-    candidate (pinned in the parity suite).  The cumulative-prefix
-    shortcut requires the group sums to grow monotonically, i.e.
-    non-negative MPP currents.  Windows containing back-biased modules
-    (negative EMF) or NaN currents keep the accumulation walk's
-    first-local-minimum semantics instead: every candidate walks as
-    one lane of a single branch-free pass over the module axis
-    (:func:`_accumulation_walk_rows`), bit-identical per lane to
-    :func:`_greedy_accumulation_walk`.
+    the Algorithm-1 partition of every ``n`` in ``[n_min, n_max]``, as
+    the one-case stack of :func:`partition_multi_stack`.  Cut indices
+    are bit-identical to running the scalar walk per candidate.
 
     Returns
     -------
@@ -407,72 +371,9 @@ def partition_multi(
             f"invalid group-count window [{n_min}, {n_max}] for "
             f"{n_modules} modules"
         )
-    counts, offsets, ragged_mask = _window_layout(n_min, n_max)
-
-    lowest = float(currents.min())
-    if not lowest >= 0.0:  # negative or NaN
-        # Non-monotone cumulative current (back-biased modules): the
-        # walk's stop-at-first-error-increase rule is the reference
-        # behaviour and cannot be expressed as a prefix search — but
-        # all candidates' walks advance together in lockstep lanes.
-        cat = _accumulation_walk_rows(
-            currents[None, :], np.zeros(counts.size, dtype=np.int64), counts
-        )
-        return PartitionSet(cat=cat, offsets=offsets, n_modules=n_modules)
-
-    # prefix[c] = sum(currents[:c]); the walk's group sum for a cut at
-    # ``c`` with the group starting at ``pos`` is prefix[c] - prefix[pos].
-    prefix = np.concatenate(([0.0], np.cumsum(currents)))
-    # ndarray.sum matches the scalar walk's ideal exactly (the prefix
-    # tail would not: cumsum accumulates sequentially, sum pairwise).
-    ideals = float(currents.sum()) / counts
-    n_candidates = counts.size
-
-    # --- 1. the pure next-cut map, all candidates x all positions ----
-    # targets[k, c] = P[c] + I_ideal_k; bound = first prefix entry
-    # strictly above it, so (bound-1, bound) bracket the target.
-    targets = prefix[None, :] + ideals[:, None]
-    bound = prefix.searchsorted(targets, side="right")
-    # Walk tie rule via the bracket midpoint: the lower cut wins only
-    # on strictly smaller error, i.e. P[bound] + P[bound-1] > 2*target
-    # (prefix is padded with +inf so bound = N+1 resolves below).
-    padded = np.concatenate((prefix, [np.inf]))
-    nxt = bound - (padded[bound] + prefix[bound - 1] > 2.0 * targets)
-    # Every group takes at least one module, and the map saturates at
-    # N (an absorbing state the final tail clamp resolves).
-    np.maximum(nxt, _index_arange(n_modules + 2)[None, 1:], out=nxt)
-    np.minimum(nxt, n_modules, out=nxt)
-    if lowest == 0.0:
-        # Zero-current flat runs: equal prefix value means equal error,
-        # and the walk extends through ties — jump to the run's end.
-        nxt = prefix.searchsorted(prefix[nxt], side="right") - 1
-
-    # --- 2. all walk iterates by binary lifting ----------------------
-    # cuts[k, j] = nxt_k^j(0); column j is assembled from the powers
-    # nxt^(2^b) selected by j's bits (composition of powers commutes).
-    # Gathers run on flattened tables with per-candidate row offsets —
-    # a direct C-level take, unlike the take_along_axis wrapper.
-    cuts = np.zeros((n_candidates, n_max), dtype=np.int64)
-    row_base = (_index_arange(n_candidates) * (n_modules + 1))[:, None]
-    doubling = nxt  # (n_candidates, N + 1), C-contiguous
-    flat = doubling.reshape(-1)
-    lift_plan = _lift_plan(n_max)
-    for step, (bit, columns) in enumerate(lift_plan):
-        cuts[:, columns] = flat[cuts[:, columns] + row_base]
-        if step + 1 < len(lift_plan):
-            doubling = flat[doubling + row_base]
-            flat = doubling.reshape(-1)
-
-    # --- 3. tail clamp + ragged extraction ---------------------------
-    # min(cut_j, N - n + j) keeps every remaining group non-empty; the
-    # map's monotonicity makes this equivalent to clamping per step.
-    np.minimum(
-        cuts,
-        (n_modules - counts)[:, None] + _index_arange(n_max)[None, :],
-        out=cuts,
-    )
-    cat = cuts[ragged_mask]
-    return PartitionSet(cat=cat, offsets=offsets, n_modules=n_modules)
+    stack = partition_multi_stack(currents[None], n_min, n_max)
+    # The one case is the whole stack.
+    return PartitionSet(cat=stack.cat, offsets=stack.offsets, n_modules=n_modules)
 
 
 @dataclass(frozen=True)
@@ -538,25 +439,18 @@ def partition_multi_stack(
 ) -> PartitionStack:
     """Greedy balanced partitions for every case of a stacked grid.
 
-    The grid-stacked sibling of :func:`partition_multi`:
     ``mpp_current_rows`` is a ``(C, N)`` matrix of per-case MPP
     currents and ``n_min`` / ``n_max`` per-case group-count windows
-    (scalars broadcast), and the prefix-bracket cut map, flat-run
-    extension, binary lifting and tail clamp all run across every
-    candidate of every case at once — one ``searchsorted`` per case
-    row serves all of that case's candidates.  Cut indices are
-    **bit-identical** per case to ``partition_multi(rows[c],
-    n_min[c], n_max[c])`` (pinned in the parity suite): the stacked map
-    evaluates the same expression tree on the same doubles, merely
-    batched over a leading case axis.  Cases containing back-biased
-    modules (negative or NaN currents) take the accumulation-walk
-    reference path, like :func:`partition_multi`: every candidate of
-    every such case is one lane of the same branch-free pass over the
-    module axis (:func:`_accumulation_walk_rows`).
-
-    The three array stages of the build — prefix construction, the
-    next-cut map and the lifting iteration — are the functions of
-    :mod:`repro.teg._partition`.
+    (scalars broadcast).  The array passes of
+    :mod:`repro.teg._partition` — cached candidate layout, prefix
+    table, next-cut map, binary lifting and tail clamp — run across
+    every candidate of every case at once.  Cases containing
+    back-biased modules (negative or NaN currents) take the
+    accumulation-walk reference instead, every candidate one lane of
+    :func:`_accumulation_walk_rows`.  Cut indices are
+    **bit-identical** per case to :func:`greedy_balanced_partition`
+    for every group count in the case's window (pinned in the parity
+    suite).
     """
     rows = np.asarray(mpp_current_rows, dtype=float)
     if rows.ndim != 2 or rows.size == 0:
@@ -565,65 +459,111 @@ def partition_multi_stack(
             f"shape {rows.shape}"
         )
     n_cases, n_modules = rows.shape
-    n_mins = np.broadcast_to(
-        np.asarray(n_min, dtype=np.int64), (n_cases,)
-    ).copy()
-    n_maxs = np.broadcast_to(
-        np.asarray(n_max, dtype=np.int64), (n_cases,)
-    ).copy()
-    if np.any(n_mins < 1) or np.any(n_maxs > n_modules) or np.any(
-        n_maxs < n_mins
-    ):
+    n_mins = np.asarray(n_min, dtype=np.int64)
+    n_maxs = np.asarray(n_max, dtype=np.int64)
+    layout = stack_layout(n_cases, n_mins.tobytes(), n_maxs.tobytes())
+    if layout is None or layout.ragged_mask.shape[1] > n_modules:
         raise ConfigurationError(
             f"invalid group-count windows for {n_modules} modules: "
-            f"n_min={n_mins.tolist()[:8]}, n_max={n_maxs.tolist()[:8]}"
+            f"n_min={np.atleast_1d(n_mins).tolist()[:8]}, "
+            f"n_max={np.atleast_1d(n_maxs).tolist()[:8]}"
         )
-
-    widths = n_maxs - n_mins + 1
-    case_offsets = np.concatenate(([0], np.cumsum(widths)))
-    n_candidates = int(case_offsets[-1])
-    case_of_cand = np.repeat(_index_arange(n_cases), widths)
-    counts_all = n_mins.repeat(widths) + (
-        _index_arange(n_candidates) - case_offsets[:-1].repeat(widths)
+    case_of_cand, counts, mask = (
+        layout.case_of_candidate, layout.counts, layout.ragged_mask
     )
-    offsets_all = np.concatenate(([0], np.cumsum(counts_all)))
-    n_lift = int(counts_all.max())
-    cuts = np.zeros((n_candidates, n_lift), dtype=np.int64)
 
     lowest_rows = rows.min(axis=1)
     monotone_rows = lowest_rows >= 0.0  # False for negatives and NaN
-    pos_sel = np.flatnonzero(monotone_rows[case_of_cand])
-
-    if pos_sel.size:
-        # The three build stages: prefix construction, the next-cut
-        # map (bracketing search + tie rule + flat-run extension) and
-        # the lifting iteration.  ndarray.sum feeds the ideals — the
-        # prefix tail would not match the scalar walk (cumsum
-        # accumulates sequentially, sum pairwise).
+    n_monotone = np.count_nonzero(monotone_rows)
+    if n_monotone == 0:
+        # Every case back-biased: the walk lanes emit the flat cuts in
+        # candidate order directly.
+        cat = _accumulation_walk_rows(rows, case_of_cand, counts)
+    else:
+        # The build stages: prefix construction, the next-cut map
+        # (bracketing search + tie rule + flat-run extension) and the
+        # lifting iteration.  ndarray.sum feeds the ideals — the prefix
+        # tail would not match the scalar walk (cumsum accumulates
+        # sequentially, sum pairwise).
         prefix_rows = prefix_table(rows)
         sums = rows.sum(axis=1)
-        row_of = case_of_cand[pos_sel]
-        ideals = sums[row_of] / counts_all[pos_sel]
-        nxt = next_cut_map(prefix_rows, row_of, ideals, lowest_rows == 0.0)
-        cuts[pos_sel] = lift_cuts(nxt, counts_all[pos_sel], n_lift)
-
-    ragged_mask = _index_arange(n_lift)[None, :] < counts_all[:, None]
-    walk_cand = ~monotone_rows[case_of_cand]
-    if walk_cand.any():
-        # Back-biased cases: one lockstep walk advances every affected
-        # candidate of every such case together (the walk lanes are
-        # row-aware, so no per-case Python here either).
-        cuts[ragged_mask & walk_cand[:, None]] = _accumulation_walk_rows(
-            rows, case_of_cand[walk_cand], counts_all[walk_cand]
-        )
+        flat_rows = lowest_rows == 0.0
+        if n_monotone == n_cases:
+            nxt = next_cut_map(
+                prefix_rows,
+                case_of_cand,
+                sums[case_of_cand] / counts,
+                flat_rows,
+                layout.runs,
+            )
+            cuts = lift_cuts(nxt, counts, mask.shape[1])
+        else:
+            cuts = np.zeros(mask.shape, dtype=np.int64)
+            walk_cand = ~monotone_rows[case_of_cand]
+            pos_sel = np.flatnonzero(~walk_cand)
+            row_of = case_of_cand[pos_sel]
+            nxt = next_cut_map(
+                prefix_rows, row_of, sums[row_of] / counts[pos_sel], flat_rows
+            )
+            cuts[pos_sel] = lift_cuts(nxt, counts[pos_sel], mask.shape[1])
+            # Back-biased cases: one lockstep walk advances every
+            # affected candidate of every such case together.
+            cuts[mask & walk_cand[:, None]] = _accumulation_walk_rows(
+                rows, case_of_cand[walk_cand], counts[walk_cand]
+            )
+        cat = cuts[mask]
 
     return PartitionStack(
-        cat=cuts[ragged_mask],
-        offsets=offsets_all,
+        cat=cat,
+        offsets=layout.offsets,
         case_of_candidate=case_of_cand,
-        case_offsets=case_offsets,
+        case_offsets=layout.case_offsets,
         n_modules=n_modules,
     )
+
+
+def _series_thevenin(
+    weighted: np.ndarray,
+    conductance: np.ndarray,
+    cat: np.ndarray,
+    offsets: np.ndarray,
+    case_of_lane: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Series ``(E_total (S, P), R_total (P,))`` of every (row, lane).
+
+    The one scoring core of every batched MPP kernel: ``weighted`` is a
+    ``(K, S, N)`` stack of conductance-weighted EMF rows, ``cat`` /
+    ``offsets`` the flat group starts of ``P`` lanes, and lane ``p``
+    scores every row of case ``case_of_lane[p]``.  One
+    ``np.add.reduceat`` over an ``(S + 1, P * N)`` block (row 0 the
+    tiled conductance, rows ``1..S`` each lane's case rows in its own
+    ``N``-column block) reduces every parallel group in the order of the
+    one-configuration reduceat; ``R_g = 1 / G_g`` replaces row 0, scales
+    the ``E_g`` rows in place, and one segmented pairwise tree sums
+    every lane in series — bitwise the ``ndarray.sum`` of
+    :func:`array_mpp` and :func:`array_mpp_rows`.
+    """
+    n_rows, n_modules = weighted.shape[1:]
+    n_lanes = offsets.size - 1
+    block = np.empty((n_rows + 1, n_lanes * n_modules))
+    block[0].reshape(n_lanes, n_modules)[...] = conductance
+    block[1:].reshape(n_rows, n_lanes, n_modules)[...] = weighted.transpose(
+        1, 0, 2
+    ).take(case_of_lane, axis=1)
+    idx = cat + np.repeat(_index_arange(n_lanes) * n_modules, np.diff(offsets))
+    groups = np.add.reduceat(block, idx, axis=1)
+    np.divide(1.0, groups[0], out=groups[0])
+    groups[1:] *= groups[0]
+    totals = segmented_pairwise_sum(groups, offsets)
+    return totals[1:], totals[0]
+
+
+def _concat_starts(
+    candidates: Sequence[np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Flat ``(cat, offsets)`` layout of validated start vectors."""
+    offsets = np.concatenate(([0], np.cumsum([c.size for c in candidates])))
+    return np.concatenate(candidates), offsets
 
 
 def array_mpp_multi_stack(
@@ -636,14 +576,11 @@ def array_mpp_multi_stack(
     The grid-stacked sibling of :func:`array_mpp_multi`: ``emf_rows``
     holds one EMF vector per case and ``resistance`` the chain's shared
     resistance vector (the homogeneous-grid precondition: all cases
-    share one module model).  Every candidate's parallel-group
-    reduction runs as one ``np.add.reduceat`` over a per-candidate
-    gathered module axis and the series sums through one segmented
-    pairwise tree — **bit-identical** per case to calling
-    :func:`array_mpp_multi` with that case's EMF vector and candidate
-    set (same doubles, same summation order; pinned in the parity
-    suite).  Candidate sets are trusted by construction, like
-    ``validate=False``.
+    share one module model).  Every candidate is one lane of the
+    scoring core, gathering its case's EMF row — **bit-identical** per
+    candidate to :func:`array_mpp` (same doubles, same summation order;
+    pinned in the parity suite).  Candidate sets are trusted by
+    construction, like ``validate=False``.
 
     Returns ``(power_w, voltage_v, current_a)`` with one entry per
     stacked candidate, in ``stack.offsets`` order.
@@ -661,25 +598,18 @@ def array_mpp_multi_stack(
             f"partition stack covers {stack.n_modules} modules, "
             f"parameters {n_modules} / {resistance.shape}"
         )
-    n_candidates = len(stack)
-    if n_candidates == 0:
+    if len(stack) == 0:
         empty = np.empty(0)
         return empty, empty.copy(), empty.copy()
-
     conductance = 1.0 / resistance
-    weighted_rows = emf_rows * conductance
-    big = np.empty((2, n_candidates * n_modules))
-    big[0] = np.tile(conductance, n_candidates)
-    big[1] = weighted_rows[stack.case_of_candidate].reshape(-1)
-    sizes = np.diff(stack.offsets)
-    idx = stack.cat + np.repeat(_index_arange(n_candidates) * n_modules, sizes)
-    groups = np.add.reduceat(big, idx, axis=1)
-    pair = np.empty_like(groups)
-    pair[1] = 1.0 / groups[0]
-    pair[0] = groups[1] * pair[1]
-    totals = segmented_pairwise_sum(pair, stack.offsets)
-    e_total = totals[0]
-    r_total = totals[1]
+    e_total, r_total = _series_thevenin(
+        (emf_rows * conductance)[:, None],
+        conductance,
+        stack.cat,
+        stack.offsets,
+        stack.case_of_candidate,
+    )
+    e_total = e_total[0]
     power = e_total * e_total / (4.0 * r_total)
     voltage = e_total / 2.0
     current = e_total / (2.0 * r_total)
@@ -796,62 +726,24 @@ def array_mpp_rows_multi(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Exact MPP rows of *many configurations* over stacked EMF rows.
 
-    The configuration-batched sibling of :func:`array_mpp_rows`: every
-    configuration in ``starts_list`` is evaluated against the same
-    ``(S, N)`` EMF matrix in one pass — all configurations' parallel
-    groups reduce through a single ``np.add.reduceat`` over a tiled
-    module axis, exactly like :func:`array_mpp_multi` does for one
-    temperature state.  This is the hot path of DNOR's epoch planning,
-    which scores the old configuration and every proposal over the
-    same forecast horizon.
+    The configuration-batched sibling of :func:`array_mpp_rows`, and
+    the one-case call of :func:`array_mpp_rows_multi_stack`: every
+    configuration in ``starts_list`` is one lane over the same
+    ``(S, N)`` EMF matrix.  This is the hot path of DNOR's epoch
+    planning, which scores the old configuration and every proposal
+    over the same forecast horizon.
 
     Returns ``(power_w, voltage_v)`` arrays of shape
     ``(n_configs, S)``, **bit-identical** to calling
-    :func:`array_mpp_rows` once per configuration: the tiled reduceat
-    preserves each group's in-segment accumulation order and the
-    per-configuration series sums run through the segmented pairwise
-    tree of :func:`repro.teg._pairwise.segmented_pairwise_sum`, which
-    reproduces the single-configuration path's ``ndarray.sum``
-    summation order exactly.
+    :func:`array_mpp_rows` once per configuration.
     """
-    emf_rows = np.asarray(emf_rows, dtype=float)
-    conductance = 1.0 / np.asarray(resistance, dtype=float)
-    n_modules = conductance.size
-    candidates = [
-        validate_starts(starts, n_modules) for starts in starts_list
-    ]
-    n_configs = len(candidates)
-    if n_configs == 0:
-        empty = np.empty((0, emf_rows.shape[0]))
-        return empty, empty.copy()
-    sizes = np.array([starts.size for starts in candidates])
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    cat = np.concatenate(candidates) if n_configs > 1 else candidates[0]
-    idx = cat + np.repeat(np.arange(n_configs) * n_modules, sizes)
-
-    weighted = emf_rows * conductance
-    if n_configs == 1:
-        # Single configuration (DNOR's keep-or-switch score every
-        # epoch): re-tiling the full (S, N) EMF matrix would be a pure
-        # copy — reduceat reads the originals directly.
-        tiled_conductance = conductance
-        tiled_weighted = weighted
-    else:
-        tiled_conductance = np.tile(conductance, n_configs)
-        tiled_weighted = np.tile(weighted, (1, n_configs))
-    group_conductance = np.add.reduceat(tiled_conductance, idx)
-    r_groups = 1.0 / group_conductance
-    group_weighted = np.add.reduceat(tiled_weighted, idx, axis=1)
-    contrib = group_weighted * r_groups
-
-    # Per-configuration series sums: the segmented pairwise tree
-    # reproduces contiguous-slice ndarray.sum bitwise, with no Python
-    # loop over configurations.
-    e_rows = segmented_pairwise_sum(contrib, offsets)
-    r_totals = segmented_pairwise_sum(r_groups, offsets)
-    power = np.ascontiguousarray((e_rows * e_rows / (4.0 * r_totals)).T)
-    voltage = np.ascontiguousarray((e_rows / 2.0).T)
-    return power, voltage
+    starts_list = list(starts_list)
+    return array_mpp_rows_multi_stack(
+        np.asarray(emf_rows, dtype=float)[None],
+        resistance,
+        starts_list,
+        np.zeros(len(starts_list), dtype=np.int64),
+    )
 
 
 def array_mpp_rows_multi_stack(
@@ -875,12 +767,9 @@ def array_mpp_rows_multi_stack(
     Returns ``(power_w, voltage_v)`` of shape ``(P, S)``,
     **bit-identical** per lane to
     ``array_mpp_rows(emf_stack[case_of_config[p]], resistance,
-    starts_list[p])`` — and therefore to grouping the lanes by case and
-    calling :func:`array_mpp_rows_multi` per case: the stacked reduceat
-    preserves each group's in-segment accumulation order (lane ``p``'s
-    last group ends exactly where lane ``p + 1``'s block begins, the
-    same boundary as the per-case array end) and the per-lane series
-    sums run through the same segmented pairwise tree.
+    starts_list[p])``: lane ``p`` reads its case's rows in its own
+    block of the scoring core, so its groups and series sums see the
+    same doubles in the same order.
     """
     emf_stack = np.asarray(emf_stack, dtype=float)
     conductance = 1.0 / np.asarray(resistance, dtype=float)
@@ -909,28 +798,10 @@ def array_mpp_rows_multi_stack(
             f"stack, got range [{case_of_config.min()}, "
             f"{case_of_config.max()}]"
         )
-    sizes = np.array([starts.size for starts in candidates])
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    cat = np.concatenate(candidates) if n_configs > 1 else candidates[0]
-    idx = cat + np.repeat(np.arange(n_configs) * n_modules, sizes)
-
-    # Lane p's N-column block holds its case's weighted EMF rows — the
-    # same doubles the per-case kernel multiplies, gathered instead of
-    # tiled.  reshape(-1, P*N) copies the (S, P, N) transpose into the
-    # contiguous layout reduceat wants.
-    weighted = emf_stack * conductance
-    n_samples = emf_stack.shape[1]
-    tiled_weighted = weighted[case_of_config].transpose(1, 0, 2).reshape(
-        n_samples, n_configs * n_modules
+    cat, offsets = _concat_starts(candidates)
+    e_rows, r_totals = _series_thevenin(
+        emf_stack * conductance, conductance, cat, offsets, case_of_config
     )
-    tiled_conductance = np.tile(conductance, n_configs)
-    group_conductance = np.add.reduceat(tiled_conductance, idx)
-    r_groups = 1.0 / group_conductance
-    group_weighted = np.add.reduceat(tiled_weighted, idx, axis=1)
-    contrib = group_weighted * r_groups
-
-    e_rows = segmented_pairwise_sum(contrib, offsets)
-    r_totals = segmented_pairwise_sum(r_groups, offsets)
     power = np.ascontiguousarray((e_rows * e_rows / (4.0 * r_totals)).T)
     voltage = np.ascontiguousarray((e_rows / 2.0).T)
     return power, voltage
@@ -953,15 +824,9 @@ def array_mpp_multi(
 
     Returns ``(power_w, voltage_v, current_a)`` arrays with one entry
     per candidate, **bit-identical** to calling :func:`array_mpp` per
-    candidate: all candidates' parallel-group reductions run as one
-    ``np.add.reduceat`` over a tiled module axis (same elements, same
-    summation order as the per-candidate reduceat), and the per-
-    candidate series sums run through
-    :func:`repro.teg._pairwise.segmented_pairwise_sum`, which reproduces
-    the scalar path's ``ndarray.sum`` pairwise order bitwise.  Algorithms
-    may therefore
-    swap the scalar loop for this kernel without perturbing a single
-    decision.
+    candidate: the set is scored as the one-case stack of
+    :func:`array_mpp_multi_stack`.  Algorithms may therefore swap the
+    scalar loop for this kernel without perturbing a single decision.
 
     ``validate=False`` skips the candidate-set validation sweep for
     callers that construct partitions correct by construction (INOR's
@@ -974,43 +839,26 @@ def array_mpp_multi(
     per-candidate Python at all.
     """
     emf = np.asarray(emf, dtype=float)
-    resistance = np.asarray(resistance, dtype=float)
     n_modules = emf.size
-    if isinstance(starts_list, PartitionSet):
-        if starts_list.n_modules != n_modules:
-            raise ConfigurationError(
-                f"partition set covers {starts_list.n_modules} modules, "
-                f"parameters {n_modules}"
-            )
-        cat = starts_list.cat
-        offsets = starts_list.offsets
-        sizes = starts_list.sizes
-        n_candidates = offsets.size - 1
-    else:
+    if not isinstance(starts_list, PartitionSet):
         candidates = [
             np.asarray(starts, dtype=np.int64) for starts in starts_list
         ]
-        n_candidates = len(candidates)
-        if n_candidates:
-            # Concatenate every candidate's group starts, offset onto a
-            # tiled module axis, so one reduceat computes all groups of
-            # all candidates (each candidate's last group correctly ends
-            # at the next candidate's offset).
-            if any(
-                starts.ndim != 1 or starts.size == 0 for starts in candidates
-            ):
-                for starts in candidates:  # delegate for the precise error
-                    validate_starts(starts, n_modules)
-            sizes = np.array([starts.size for starts in candidates])
-            offsets = np.concatenate(([0], np.cumsum(sizes)))
-            cat = (
-                np.concatenate(candidates)
-                if n_candidates > 1
-                else candidates[0].reshape(-1)
-            )
-    if n_candidates == 0:
-        empty = np.empty(0)
-        return empty, empty.copy(), empty.copy()
+        if not candidates:
+            empty = np.empty(0)
+            return empty, empty.copy(), empty.copy()
+        if any(starts.ndim != 1 or starts.size == 0 for starts in candidates):
+            for starts in candidates:  # delegate for the precise error
+                validate_starts(starts, n_modules)
+        cat, offsets = _concat_starts(candidates)
+        starts_list = PartitionSet(cat=cat, offsets=offsets, n_modules=n_modules)
+    elif starts_list.n_modules != n_modules:
+        raise ConfigurationError(
+            f"partition set covers {starts_list.n_modules} modules, "
+            f"parameters {n_modules}"
+        )
+    cat, offsets = starts_list.cat, starts_list.offsets
+    n_candidates = len(starts_list)
 
     # Validate the whole candidate set in one vectorised sweep; only on
     # failure fall back to the per-candidate path for its precise error.
@@ -1028,42 +876,20 @@ def array_mpp_multi(
             and not np.any(diffs <= 0)
         )
         if not valid:
-            for starts in (
-                starts_list
-                if isinstance(starts_list, PartitionSet)
-                else candidates
-            ):
+            for starts in starts_list:
                 validate_starts(starts, n_modules)
             raise ConfigurationError(
                 "inconsistent candidate configuration set"
             )
 
-    idx = cat + np.repeat(np.arange(n_candidates) * n_modules, sizes)
-    conductance = 1.0 / resistance
-    base = np.empty((2, n_modules))
-    base[0] = conductance
-    base[1] = emf * conductance
-    # groups rows: [0] = summed conductance 1/R_g, [1] = conductance-
-    # weighted EMF per group (reduceat's strictly sequential in-segment
-    # accumulation matches the per-candidate scalar reduceat bitwise).
-    tiled = base if n_candidates == 1 else np.tile(base, (1, n_candidates))
-    groups = np.add.reduceat(tiled, idx, axis=1)
-    # pair rows: [0] = E_g, [1] = R_g per group.
-    pair = np.empty_like(groups)
-    pair[1] = 1.0 / groups[0]
-    pair[0] = groups[1] * pair[1]
-
-    # Per-candidate series sums: the segmented pairwise tree matches
-    # the scalar path's e_groups.sum() summation order bitwise
-    # (np.add.reduceat's sequential accumulation would not), with no
-    # Python loop over candidates.
-    totals = segmented_pairwise_sum(pair, offsets)
-    e_total = totals[0]
-    r_total = totals[1]
-    power = e_total * e_total / (4.0 * r_total)
-    voltage = e_total / 2.0
-    current = e_total / (2.0 * r_total)
-    return power, voltage, current
+    one_case = PartitionStack(
+        cat=cat,
+        offsets=offsets,
+        case_of_candidate=np.zeros(n_candidates, dtype=np.int64),
+        case_offsets=np.array([0, n_candidates]),
+        n_modules=n_modules,
+    )
+    return array_mpp_multi_stack(emf[None], resistance, one_case)
 
 
 def power_at_current(

@@ -231,6 +231,44 @@ class TestShardQueue:
         assert claim_case(shard, worker_id="w2") == "case-00002"
         assert claim_case(shard, worker_id="w2") == first
 
+    def test_requeue_moves_only_the_lease_it_judged(
+        self, small_grid, tmp_path, monkeypatch
+    ):
+        """Worker A re-queues a dead worker's lease and claims the item
+        afresh while worker B is still judging that lease: B must leave
+        A's live lease where it is."""
+        from repro.sim import shard as shard_module
+
+        shard = tmp_path / "shard"
+        init_shard(shard, small_grid, warm=False)
+        for _ in range(3):
+            claim_case(shard, worker_id="dead", lease_ttl_s=0.01)
+        time.sleep(0.03)
+        judge = shard_module._lease_expired
+        raced = []
+
+        def interleaved(lease, now, default_ttl_s):
+            expired = judge(lease, now, default_ttl_s)
+            if expired and not raced:
+                # A runs a whole claim inside B's first judgement (its
+                # own judgements, and B's later ones, are plain).
+                raced.append(None)
+                raced[0] = claim_case(shard, worker_id="a")
+            return expired
+
+        monkeypatch.setattr(shard_module, "_lease_expired", interleaved)
+        paths = shard_module._ShardPaths(shard)
+        assert shard_module._requeue_expired(paths) == 0
+        assert raced == ["case-00000"]
+        leases = sorted(p.name for p in paths.leases.iterdir())
+        assert leases == ["case-00000.json"]
+        lease = json.loads((paths.leases / "case-00000.json").read_text())
+        assert lease["worker"] == "a"
+        # B gets the other two recovered cases, never A's live one.
+        assert claim_case(shard, worker_id="b") == "case-00001"
+        assert claim_case(shard, worker_id="b") == "case-00002"
+        assert claim_case(shard, worker_id="b") is None
+
     def test_init_refuses_different_grid(self, small_grid, scenario, tmp_path):
         shard = tmp_path / "shard"
         init_shard(shard, small_grid, warm=False)

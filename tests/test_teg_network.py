@@ -7,6 +7,17 @@ from repro.errors import ConfigurationError
 from repro.teg import network
 
 
+def assert_mpp_bitwise(mpp, power, voltage, current):
+    """A batched ``(P*, V*, I*)`` entry equals the scalar MPP, bit for
+    bit (signed zeros included)."""
+    for got, want in (
+        (power, mpp.power_w),
+        (voltage, mpp.voltage_v),
+        (current, mpp.current_a),
+    ):
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 @pytest.fixture
 def uniform_modules():
     """Five identical modules: E = 2 V, R = 1 Ohm."""
@@ -378,16 +389,19 @@ class TestStackedKernels:
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_partition_multi_stack_equals_per_case(self, seed):
+        """Every candidate of every case equals the scalar greedy walk
+        (``partition_multi`` is the one-case stack, so it cannot be
+        the oracle)."""
         rows = self._rows(seed)
         n = rows.shape[1]
         stack = network.partition_multi_stack(rows, 1, n)
         assert stack.n_cases == rows.shape[0]
-        for c in range(rows.shape[0]):
-            per_case = network.partition_multi(rows[c], 1, n)
+        for c, row in enumerate(rows):
             case_set = stack.case(c)
-            assert len(case_set) == len(per_case)
-            assert np.array_equal(case_set.cat, per_case.cat)
-            assert np.array_equal(case_set.offsets, per_case.offsets)
+            assert len(case_set) == n
+            for k, n_groups in enumerate(range(1, n + 1)):
+                want = network.greedy_balanced_partition(row, n_groups)
+                assert np.array_equal(case_set[k], want), (c, n_groups)
 
     def test_mixed_stacks_pinned_to_scalar_walk(self, walk_edge_currents):
         """Monotone rows on random windows beside every 34-module walk
@@ -423,6 +437,25 @@ class TestStackedKernels:
                     want = network.greedy_balanced_partition(row, n_groups)
                     assert np.array_equal(case_set[k], want), (c, n_groups)
 
+    def test_one_monotone_case_behind_back_biased_cases(
+        self, walk_edge_currents
+    ):
+        """A stack whose only monotone case (with and without a
+        zero-current flat run) comes after walk cases: its candidates
+        search that case's own prefix row, pinned to the scalar walk."""
+        edge = (walk_edge_currents["signed_zeros"], walk_edge_currents["nan"])
+        n = edge[0].size
+        monotone = np.random.default_rng(36).uniform(0.05, 1.0, n)
+        flat = monotone.copy()
+        flat[3:9] = 0.0
+        for row in (monotone, flat):
+            rows = np.stack((*edge, row))
+            stack = network.partition_multi_stack(rows, 1, n)
+            for c, currents in enumerate(rows):
+                for k, n_groups in enumerate(range(1, n + 1)):
+                    want = network.greedy_balanced_partition(currents, n_groups)
+                    assert np.array_equal(stack.case(c)[k], want), (c, n_groups)
+
     def test_case_accepts_negative_index(self):
         rows = self._rows(4)
         stack = network.partition_multi_stack(rows, 1, rows.shape[1])
@@ -440,14 +473,15 @@ class TestStackedKernels:
         power, voltage, current = network.array_mpp_multi_stack(
             emf_rows, res, stack
         )
+        # The scalar oracle per candidate (array_mpp_multi runs the
+        # same scoring core, so it cannot be the oracle).
         for c in range(rows.shape[0]):
-            p_ref, v_ref, i_ref = network.array_mpp_multi(
-                emf_rows[c], res, stack.case(c)
-            )
-            lo, hi = stack.case_offsets[c], stack.case_offsets[c + 1]
-            assert power[lo:hi].tobytes() == p_ref.tobytes()
-            assert voltage[lo:hi].tobytes() == v_ref.tobytes()
-            assert current[lo:hi].tobytes() == i_ref.tobytes()
+            lo = stack.case_offsets[c]
+            for k, starts in enumerate(stack.case(c)):
+                assert_mpp_bitwise(
+                    network.array_mpp(emf_rows[c], res, starts),
+                    power[lo + k], voltage[lo + k], current[lo + k],
+                )
 
     def test_window_broadcast_and_validation(self):
         rows = np.abs(self._rows(8)) + 0.01
@@ -461,7 +495,9 @@ class TestStackedKernels:
 
 
 class TestSingleCandidateNoTile:
-    """The n_configs == 1 fast paths must stay bitwise on-contract."""
+    """A one-candidate set is one lane of the scoring core: it scores
+    bitwise like the same candidate inside a larger set and like the
+    scalar oracle."""
 
     def test_array_mpp_multi_single_candidate(self):
         rng = np.random.default_rng(21)
@@ -484,3 +520,92 @@ class TestSingleCandidateNoTile:
         p_ref, v_ref = network.array_mpp_rows(emf_rows, res, [0, 3, 6, 9])
         assert power[0].tobytes() == p_ref.tobytes()
         assert voltage[0].tobytes() == v_ref.tobytes()
+
+
+class TestScoringCore:
+    """Every batched MPP kernel runs one scoring core; pin it against
+    the scalar ``array_mpp`` / ``array_mpp_rows`` oracles where it is
+    easiest to get wrong: candidates of 180-220 groups (series sums
+    past the pairwise tree's 128-element leaf), signed-zero and
+    all-zero EMF segments, several horizon rows and several cases."""
+
+    N = 400
+
+    @pytest.fixture(scope="class")
+    def chain(self):
+        rng = np.random.default_rng(400)
+        res = rng.uniform(0.5, 2.0, self.N)
+        # Three cases; row 0 of each keeps a -0.0 run and a zero run,
+        # and case 2's last row is dead (every EMF -0.0).
+        emf = rng.uniform(0.1, 3.0, (3, 4, self.N))
+        emf[:, 0, 40:48] = -0.0
+        emf[:, 0, 100:140] = 0.0
+        emf[2, 3] = -0.0
+        candidates = [
+            network.partition_multi(case[1] / (2.0 * res), 180, 220)
+            for case in emf
+        ]
+        return emf, res, candidates
+
+    def test_inor_candidates(self, chain):
+        emf, res, candidates = chain
+        for case, cands in zip(emf, candidates):
+            for row in (case[0], case[3]):
+                power, voltage, current = network.array_mpp_multi(
+                    row, res, cands
+                )
+                for k, starts in enumerate(cands):
+                    assert_mpp_bitwise(
+                        network.array_mpp(row, res, starts),
+                        power[k], voltage[k], current[k],
+                    )
+
+    @pytest.mark.parametrize("n_cases", [1, 3])
+    def test_stacked_inor_candidates(self, chain, n_cases):
+        emf, res, _ = chain
+        rows = emf[:n_cases, 0]
+        stack = network.partition_multi_stack(
+            emf[:n_cases, 1] / (2.0 * res), 180, 220
+        )
+        power, voltage, current = network.array_mpp_multi_stack(
+            rows, res, stack
+        )
+        for c in range(n_cases):
+            lo = stack.case_offsets[c]
+            for k, starts in enumerate(stack.case(c)):
+                assert_mpp_bitwise(
+                    network.array_mpp(rows[c], res, starts),
+                    power[lo + k], voltage[lo + k], current[lo + k],
+                )
+
+    @pytest.mark.parametrize("n_rows", [1, 4])
+    def test_horizon_rows(self, chain, n_rows):
+        emf, res, candidates = chain
+        configs = list(candidates[0])[::8] + [[0], list(range(self.N))]
+        rows = emf[2, 4 - n_rows:]
+        power, voltage = network.array_mpp_rows_multi(rows, res, configs)
+        assert power.shape == voltage.shape == (len(configs), n_rows)
+        for k, starts in enumerate(configs):
+            p_ref, v_ref = network.array_mpp_rows(rows, res, starts)
+            assert power[k].tobytes() == p_ref.tobytes()
+            assert voltage[k].tobytes() == v_ref.tobytes()
+
+    @pytest.mark.parametrize("n_rows", [1, 4])
+    @pytest.mark.parametrize("n_cases", [1, 3])
+    def test_stacked_horizon_lanes_mix_cases(self, chain, n_cases, n_rows):
+        emf, res, candidates = chain
+        stack = emf[:n_cases, 4 - n_rows:]
+        # Lanes out of case order, a case scored by several lanes.
+        case_of_config = [(7 * p) % n_cases for p in range(9)]
+        configs = [
+            candidates[c][(5 * p) % len(candidates[c])]
+            for p, c in enumerate(case_of_config)
+        ]
+        power, voltage = network.array_mpp_rows_multi_stack(
+            stack, res, configs, case_of_config
+        )
+        assert power.shape == voltage.shape == (len(configs), n_rows)
+        for p, (c, starts) in enumerate(zip(case_of_config, configs)):
+            p_ref, v_ref = network.array_mpp_rows(stack[c], res, starts)
+            assert power[p].tobytes() == p_ref.tobytes()
+            assert voltage[p].tobytes() == v_ref.tobytes()
