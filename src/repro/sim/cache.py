@@ -126,8 +126,8 @@ class CacheStats:
         Lookups answered by loading an on-disk artifact.
     misses:
         Lookups that had to run :meth:`TracePhysics.compute` (equals
-        the number of boundary solve passes paid, up to the noiseless
-        single-solve optimisation).
+        the number of boundary solves paid: one per compute, over the
+        true and sensed rows stacked).
     corrupt_artifacts:
         On-disk artifacts that failed to load and were recomputed.
     """

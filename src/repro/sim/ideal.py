@@ -6,8 +6,8 @@ share a voltage), which is what makes it the natural normaliser for
 comparing schemes.  The series needs only the *true* boundary
 conditions, so it is one vectorised boundary solve plus the batched
 per-module MPP sum (:func:`repro.sim.physics.ideal_power_from_delta_t`)
-— the sensed pass a full :class:`~repro.sim.physics.TracePhysics`
-would also run is skipped.
+— the sensed rows a full :class:`~repro.sim.physics.TracePhysics`
+stacks into its solve are left out.
 """
 
 from __future__ import annotations

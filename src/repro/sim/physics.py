@@ -9,10 +9,13 @@ it all out of the control loop:
 
 * one vectorised
   :meth:`repro.thermal.boundary.ThermalBoundary.solve_trace` pass over
-  the *true* boundary conditions,
-* a second pass over the *sensed* conditions — skipped entirely when
-  the trace is noiseless (sensed columns identical to true), in which
-  case the true solution is shared,
+  the *true* and the *sensed* boundary conditions stacked row-wise
+  (rows ``[0, T)`` true, ``[T, 2T)`` sensed) and split afterwards —
+  the solve is row-wise elementwise, so each half is bitwise what a
+  separate solve over its own columns returns, and the fixed per-call
+  cost (the exhaust duct march loops over modules in Python) is paid
+  once instead of twice.  A noiseless trace (sensed columns identical
+  to true) solves the true rows alone and shares that solution,
 * the per-module EMF matrix and the ``P_ideal`` reference series,
   precomputed with exactly the same elementwise operations the
   per-step :class:`repro.teg.array.TEGArray` path uses, so downstream
@@ -25,17 +28,17 @@ physics over a whole experiment grid.
 
 For online consumption — telemetry arriving in chunks rather than as a
 complete trace — :class:`TracePhysicsStream` exposes the same
-precompute incrementally: every solve in the chain is per-sample
-(row-wise elementwise, the boundary protocol's contract), so chunked
-evaluation is a restructuring, not an approximation, and each chunk's
-state is bit-identical to the corresponding rows of the one-shot
-``compute()``.
+precompute incrementally through the same one-solve helper: every
+solve in the chain is per-sample (row-wise elementwise, the boundary
+protocol's contract), so chunked evaluation is a restructuring, not an
+approximation, and each chunk's state is bit-identical to the
+corresponding rows of the one-shot ``compute()``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -84,9 +87,10 @@ class TracePhysics:
         the temperatures the array physically experiences.
     sensed_solution:
         Boundary solution at the sensed boundary conditions (what the
-        controller's model-derived distribution sees).  When the trace
-        is noiseless this is the *same object* as ``true_solution``;
-        the redundant second solve is skipped.
+        controller's model-derived distribution sees), solved in the
+        same call as ``true_solution`` over the stacked rows.  When the
+        trace is noiseless this is the *same object* as
+        ``true_solution`` and only the true rows are solved.
     sensed_temps_c:
         ``(T, N)`` effective hot-side temperatures fed to the policies:
         ambient plus the sensed per-module temperature difference
@@ -101,7 +105,7 @@ class TracePhysics:
         ``P_ideal`` reference series (every module at its own MPP).
     noiseless:
         True when the sensed trace columns equal the true columns and
-        the second boundary solve was skipped.
+        the sensed rows were not solved.
     """
 
     trace: RadiatorTrace
@@ -147,77 +151,37 @@ class TracePhysics:
         module: ModuleModel,
         n_modules: int,
     ) -> "TracePhysics":
-        """Precompute the physics of a whole trace in two NumPy passes.
+        """Precompute the physics of a whole trace in one boundary solve.
 
-        The second (sensed) pass is skipped when the trace carries no
-        sensing error — ``sensed_solution`` then aliases
-        ``true_solution``.
+        The true and sensed rows go through one stacked solve; a trace
+        with no sensing error solves only the true rows, and
+        ``sensed_solution`` then aliases ``true_solution``.
         """
-        true_solution = boundary.solve_trace(
+        state = _solve_chunk(
+            boundary,
+            module,
+            n_modules,
+            0,
             trace.coolant_inlet_c,
             trace.coolant_flow_kg_s,
             trace.ambient_c,
             trace.air_flow_kg_s,
-            n_modules,
+            trace.coolant_inlet_sensed_c,
+            trace.coolant_flow_sensed_kg_s,
         )
-        noiseless = bool(
-            np.array_equal(trace.coolant_inlet_sensed_c, trace.coolant_inlet_c)
-            and np.array_equal(
-                trace.coolant_flow_sensed_kg_s, trace.coolant_flow_kg_s
-            )
-        )
-        if noiseless:
-            sensed_solution = true_solution
-        else:
-            sensed_solution = boundary.solve_trace(
-                trace.coolant_inlet_sensed_c,
-                trace.coolant_flow_sensed_kg_s,
-                trace.ambient_c,
-                trace.air_flow_kg_s,
-                n_modules,
-            )
-        sensed_temps_c = trace.ambient_c[:, None] + sensed_solution.delta_t_k
-
-        # Mirror TEGArray.emf_vector / resistance_vector / ideal_power
-        # operation-for-operation so the precomputed series are
-        # bit-identical to what the per-step path would produce.  EMFs
-        # evaluate at the boundary-solved mean junction temperatures —
-        # for nominal single-material modules the drift scale is exactly
-        # 1.0, so this is bitwise the historical nominal expression.
-        mean_true_c = (
-            true_solution.surface_temps_c + true_solution.sink_temps_c
-        ) / 2.0
-        emf_true = module.emf(true_solution.delta_t_k, mean_true_c)
         return cls(
             trace=trace,
             boundary=boundary,
             module=module,
             n_modules=int(n_modules),
-            true_solution=true_solution,
-            sensed_solution=sensed_solution,
-            sensed_temps_c=sensed_temps_c,
-            emf_true=emf_true,
+            true_solution=state.true_solution,
+            sensed_solution=state.sensed_solution,
+            sensed_temps_c=state.sensed_temps_c,
+            emf_true=state.emf_true,
             module_resistance_ohm=float(module.internal_resistance()),
-            ideal_power_w=ideal_power_from_delta_t(
-                module, true_solution.delta_t_k, mean_true_c
-            ),
-            noiseless=noiseless,
+            ideal_power_w=state.ideal_power_w,
+            noiseless=state.noiseless,
         )
-
-
-def _concat_trace_solutions(
-    parts: Sequence[BoundaryTraceSolution],
-) -> BoundaryTraceSolution:
-    """Row-concatenate per-chunk boundary solutions into one.
-
-    Every column of a :class:`BoundaryTraceSolution` is per-sample
-    (row) data, so concatenation along axis 0 reassembles exactly the
-    arrays a whole-trace ``solve_trace`` call produces — the solve
-    itself is row-wise elementwise (pinned in the stream parity suite).
-    Dispatches on the concrete solution type so richer subclasses (the
-    radiator's exchanger columns) reassemble their own fields too.
-    """
-    return type(parts[0]).concat(parts)
 
 
 @dataclass(frozen=True)
@@ -243,6 +207,63 @@ class TraceChunkState:
         return int(self.sensed_temps_c.shape[0])
 
 
+def _solve_chunk(
+    boundary: ThermalBoundary,
+    module: ModuleModel,
+    n_modules: int,
+    start_index: int,
+    inlet: np.ndarray,
+    flow: np.ndarray,
+    ambient: np.ndarray,
+    air_flow: np.ndarray,
+    sensed_inlet: np.ndarray,
+    sensed_flow: np.ndarray,
+) -> TraceChunkState:
+    """The physics of ``n`` samples from one boundary solve.
+
+    A noisy chunk solves ``2n`` rows at once — the true columns
+    stacked over the sensed ones, ambient and cold-stream flow
+    repeated — and splits the solution at row ``n``.  The boundary
+    protocol makes every row depend only on its own inputs, so each
+    half is bitwise a separate solve over its own columns.  A
+    noiseless chunk solves the ``n`` true rows and shares the solution.
+    """
+    noiseless = bool(
+        np.array_equal(sensed_inlet, inlet) and np.array_equal(sensed_flow, flow)
+    )
+    columns = (inlet, flow, ambient, air_flow)
+    if not noiseless:
+        sensed = (sensed_inlet, sensed_flow, ambient, air_flow)
+        columns = tuple(map(np.concatenate, zip(columns, sensed)))
+    solution = boundary.solve_trace(*columns, n_modules)
+    if noiseless:
+        true_solution = sensed_solution = solution
+    else:
+        n = inlet.size
+        true_solution = solution.rows(0, n)
+        sensed_solution = solution.rows(n, 2 * n)
+    # Mirror TEGArray.emf_vector / resistance_vector / ideal_power
+    # operation-for-operation so the precomputed series are
+    # bit-identical to what the per-step path would produce.  EMFs
+    # evaluate at the boundary-solved mean junction temperatures —
+    # for nominal single-material modules the drift scale is exactly
+    # 1.0, so this is bitwise the historical nominal expression.
+    mean_true_c = (
+        true_solution.surface_temps_c + true_solution.sink_temps_c
+    ) / 2.0
+    return TraceChunkState(
+        start_index=start_index,
+        true_solution=true_solution,
+        sensed_solution=sensed_solution,
+        sensed_temps_c=ambient[:, None] + sensed_solution.delta_t_k,
+        emf_true=module.emf(true_solution.delta_t_k, mean_true_c),
+        ideal_power_w=ideal_power_from_delta_t(
+            module, true_solution.delta_t_k, mean_true_c
+        ),
+        noiseless=noiseless,
+    )
+
+
 class TracePhysicsStream:
     """Chunked/incremental counterpart of :meth:`TracePhysics.compute`.
 
@@ -253,14 +274,17 @@ class TracePhysicsStream:
     **bit-identical** to the corresponding rows of the one-shot
     precompute, at any chunk size (pinned in
     ``tests/test_physics_stream.py`` for chunk sizes {1, 7, full} over
-    every registry scenario).
+    every registry scenario).  Each chunk costs one boundary solve —
+    true and sensed rows stacked, like ``compute()``.
 
-    The only whole-trace quantity is the ``noiseless`` flag —
-    ``compute()`` decides it from the full sensed columns; here it is
-    the conjunction of the per-chunk checks (equality of a
-    concatenation is exactly the conjunction of per-chunk equality, so
-    :meth:`snapshot` reproduces the flag and the solution-aliasing
-    behaviour bit-for-bit).
+    The stream keeps no per-chunk state: a long-lived session holds
+    only the running sample count, and the caller owns the states
+    :meth:`extend` returns.  The only whole-trace quantity of
+    ``compute()`` is the ``noiseless`` flag; it is the conjunction of
+    the per-chunk flags (equality of a concatenation is exactly the
+    conjunction of per-chunk equality), so concatenating the returned
+    states reproduces the one-shot precompute field for field,
+    solution aliasing included.
     """
 
     def __init__(
@@ -269,18 +293,12 @@ class TracePhysicsStream:
         self._boundary = boundary
         self._module = module
         self._n_modules = int(n_modules)
-        self._chunks: List[TraceChunkState] = []
         self._n_seen = 0
 
     @property
     def n_samples_seen(self) -> int:
         """Total samples appended so far."""
         return self._n_seen
-
-    @property
-    def chunks(self) -> Sequence[TraceChunkState]:
-        """Per-chunk states in arrival order."""
-        return tuple(self._chunks)
 
     def extend(
         self,
@@ -300,53 +318,26 @@ class TracePhysicsStream:
         """
         inlet = np.asarray(coolant_inlet_c, dtype=float)
         flow = np.asarray(coolant_flow_kg_s, dtype=float)
-        ambient = np.asarray(ambient_c, dtype=float)
-        air_flow = np.asarray(air_flow_kg_s, dtype=float)
         if inlet.ndim != 1 or inlet.size < 1:
             raise SimulationError(
                 f"chunk columns must be non-empty 1-D, got {inlet.shape}"
             )
-        sensed_inlet = (
+        state = _solve_chunk(
+            self._boundary,
+            self._module,
+            self._n_modules,
+            self._n_seen,
+            inlet,
+            flow,
+            np.asarray(ambient_c, dtype=float),
+            np.asarray(air_flow_kg_s, dtype=float),
             inlet
             if coolant_inlet_sensed_c is None
-            else np.asarray(coolant_inlet_sensed_c, dtype=float)
-        )
-        sensed_flow = (
+            else np.asarray(coolant_inlet_sensed_c, dtype=float),
             flow
             if coolant_flow_sensed_kg_s is None
-            else np.asarray(coolant_flow_sensed_kg_s, dtype=float)
+            else np.asarray(coolant_flow_sensed_kg_s, dtype=float),
         )
-        true_solution = self._boundary.solve_trace(
-            inlet, flow, ambient, air_flow, self._n_modules
-        )
-        noiseless = bool(
-            np.array_equal(sensed_inlet, inlet)
-            and np.array_equal(sensed_flow, flow)
-        )
-        if noiseless:
-            sensed_solution = true_solution
-        else:
-            sensed_solution = self._boundary.solve_trace(
-                sensed_inlet, sensed_flow, ambient, air_flow, self._n_modules
-            )
-        sensed_temps_c = ambient[:, None] + sensed_solution.delta_t_k
-        # Same expression order as TracePhysics.compute — bit-identical.
-        mean_true_c = (
-            true_solution.surface_temps_c + true_solution.sink_temps_c
-        ) / 2.0
-        emf_true = self._module.emf(true_solution.delta_t_k, mean_true_c)
-        state = TraceChunkState(
-            start_index=self._n_seen,
-            true_solution=true_solution,
-            sensed_solution=sensed_solution,
-            sensed_temps_c=sensed_temps_c,
-            emf_true=emf_true,
-            ideal_power_w=ideal_power_from_delta_t(
-                self._module, true_solution.delta_t_k, mean_true_c
-            ),
-            noiseless=noiseless,
-        )
-        self._chunks.append(state)
         self._n_seen += state.n_samples
         return state
 
@@ -361,47 +352,4 @@ class TracePhysicsStream:
             trace.air_flow_kg_s[lo:hi],
             trace.coolant_inlet_sensed_c[lo:hi],
             trace.coolant_flow_sensed_kg_s[lo:hi],
-        )
-
-    def snapshot(self, trace: RadiatorTrace) -> TracePhysics:
-        """Assemble the streamed chunks into a whole-trace precompute.
-
-        ``trace`` must be the trace whose samples were streamed (its
-        sample count is validated); the returned object is bit-identical
-        field-for-field to ``TracePhysics.compute(trace, ...)``,
-        including the noiseless solution aliasing.
-        """
-        if trace.n_samples != self._n_seen:
-            raise SimulationError(
-                f"snapshot trace has {trace.n_samples} samples but "
-                f"{self._n_seen} were streamed"
-            )
-        if not self._chunks:
-            raise SimulationError("no chunks streamed yet")
-        true_solution = _concat_trace_solutions(
-            [c.true_solution for c in self._chunks]
-        )
-        noiseless = all(c.noiseless for c in self._chunks)
-        if noiseless:
-            sensed_solution = true_solution
-        else:
-            sensed_solution = _concat_trace_solutions(
-                [c.sensed_solution for c in self._chunks]
-            )
-        return TracePhysics(
-            trace=trace,
-            boundary=self._boundary,
-            module=self._module,
-            n_modules=self._n_modules,
-            true_solution=true_solution,
-            sensed_solution=sensed_solution,
-            sensed_temps_c=np.concatenate(
-                [c.sensed_temps_c for c in self._chunks]
-            ),
-            emf_true=np.concatenate([c.emf_true for c in self._chunks]),
-            module_resistance_ohm=float(self._module.internal_resistance()),
-            ideal_power_w=np.concatenate(
-                [c.ideal_power_w for c in self._chunks]
-            ),
-            noiseless=noiseless,
         )

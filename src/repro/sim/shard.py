@@ -612,6 +612,8 @@ def claim_case(
     The claim is one atomic rename of the ticket into ``leases/`` —
     exactly one of any number of racing workers wins it — followed by
     stamping the lease with the worker identity, claim time and TTL.
+    The ticket is touched just before the rename, so until the stamp
+    lands the lease's mtime is the claim time, not the ticket's age.
     Fused-group tickets (``group-*``) are offered before case tickets:
     they carry the most work, so starting them first keeps the fleet's
     tail short.  ``lease_ttl_s=None`` (the default) stamps the shard's
@@ -633,6 +635,9 @@ def claim_case(
         for ticket in tickets:
             target = paths.leases / ticket.name
             try:
+                # The rename keeps the mtime an unstamped lease is
+                # judged by; an old ticket must not look expired.
+                os.utime(ticket)
                 os.rename(ticket, target)
             except OSError:
                 continue  # another worker won this ticket

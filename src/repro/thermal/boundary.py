@@ -120,6 +120,18 @@ class BoundaryTraceSolution:
         """Inverse of :meth:`to_arrays`."""
         return cls(**{f.name: arrays[f.name] for f in fields(cls)})
 
+    def rows(self, lo: int, hi: int):
+        """The solution of samples ``[lo, hi)``, same concrete type.
+
+        Written through the flat :meth:`to_arrays` / :meth:`from_arrays`
+        pair, so subclasses with nested columns (the radiator's
+        exchanger solution) slice correctly without an override.  The
+        arrays are views of this solution's rows.
+        """
+        return type(self).from_arrays(
+            {name: arr[lo:hi] for name, arr in self.to_arrays().items()}
+        )
+
     @classmethod
     def concat(cls, parts: Sequence["BoundaryTraceSolution"]):
         """Row-concatenate per-chunk solutions into one.
@@ -127,13 +139,13 @@ class BoundaryTraceSolution:
         Every column is per-sample (row) data, so concatenation along
         axis 0 reassembles exactly the arrays a whole-trace
         :meth:`ThermalBoundary.solve_trace` call produces (pinned in
-        the stream parity suite).
+        the stream parity suite).  Written through the flat
+        :meth:`to_arrays` / :meth:`from_arrays` pair, like
+        :meth:`rows`, so subclasses need no override.
         """
-        return cls(
-            **{
-                f.name: np.concatenate([getattr(p, f.name) for p in parts])
-                for f in fields(cls)
-            }
+        flat = [p.to_arrays() for p in parts]
+        return cls.from_arrays(
+            {name: np.concatenate([f[name] for f in flat]) for name in flat[0]}
         )
 
 

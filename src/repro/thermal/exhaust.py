@@ -17,7 +17,11 @@ gas-film → module → cold-film conductance path and cools the gas by
 march is vectorised over the whole trace — :meth:`solve_trace` touches
 Python once per *module*, never per sample — which is what the
 ``benchmarks/bench_boundary.py`` ≥3x gate measures against the scalar
-per-sample reference.
+per-sample reference.  What does not change along the duct (the
+flow-scaled film conductances, the module and cold-film resistances)
+is computed once before the march, and ``t_gas - t_ref`` once per
+module; operand order is unchanged, so the values are bitwise those of
+the unhoisted march.
 
 Mapped onto the generic :class:`~repro.thermal.boundary.ThermalBoundary`
 trace columns: the *hot stream* is the exhaust gas (inlet temperature +
@@ -152,22 +156,20 @@ class ExhaustGasBoundary(ThermalBoundary):
             cold_flow / self.cold_ref_flow_kg_s
         ) ** self.cold_flow_exponent
 
+        # So are the module and cold-film resistances of the series
+        # path.
+        inv_module = 1.0 / self.module_conductance_w_k
+        inv_cold = 1.0 / ua_cold
+
         t_gas = inlet.copy()
         for j in range(n_modules):
             # Gas properties at this segment's upstream state.
-            cp = self.cp_ref_j_kg_k * (
-                1.0 + self.cp_coeff_per_k * (t_gas - self.t_ref_c)
-            )
+            t_excess = t_gas - self.t_ref_c
+            cp = self.cp_ref_j_kg_k * (1.0 + self.cp_coeff_per_k * t_excess)
             c_gas = gas_flow * cp
-            ua_gas = ua_gas_flow * (
-                1.0 + self.ua_temp_coeff_per_k * (t_gas - self.t_ref_c)
-            )
+            ua_gas = ua_gas_flow * (1.0 + self.ua_temp_coeff_per_k * t_excess)
             # Series path: gas film -> module -> cold film.
-            ua_total = 1.0 / (
-                1.0 / ua_gas
-                + 1.0 / self.module_conductance_w_k
-                + 1.0 / ua_cold
-            )
+            ua_total = 1.0 / (1.0 / ua_gas + inv_module + inv_cold)
             eps = 1.0 - np.exp(-ua_total / c_gas)
             q = eps * c_gas * (t_gas - ambient)
             surface[:, j] = t_gas - q / ua_gas

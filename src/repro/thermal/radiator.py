@@ -31,7 +31,7 @@ assumption exactly.  See DESIGN.md section 3.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, Mapping, Sequence
+from typing import Dict, Mapping
 
 import numpy as np
 
@@ -229,25 +229,6 @@ class RadiatorTraceSolution(BoundaryTraceSolution):
             delta_t_k=arrays["delta_t_k"],
             ambient_c=arrays["ambient_c"],
             active=arrays["active"],
-        )
-
-    @classmethod
-    def concat(cls, parts: Sequence["RadiatorTraceSolution"]):
-        return cls(
-            exchanger=HeatExchangerTraceSolution(
-                **{
-                    f.name: np.concatenate(
-                        [getattr(p.exchanger, f.name) for p in parts]
-                    )
-                    for f in fields(HeatExchangerTraceSolution)
-                }
-            ),
-            decay_per_m=np.concatenate([p.decay_per_m for p in parts]),
-            surface_temps_c=np.concatenate([p.surface_temps_c for p in parts]),
-            sink_temps_c=np.concatenate([p.sink_temps_c for p in parts]),
-            delta_t_k=np.concatenate([p.delta_t_k for p in parts]),
-            ambient_c=np.concatenate([p.ambient_c for p in parts]),
-            active=np.concatenate([p.active for p in parts]),
         )
 
 

@@ -232,9 +232,10 @@ class TestRunnerIntegration:
         )
         runner = ExperimentRunner(cases, executor="serial")
         runner.run()
-        # One TracePhysics.compute for the whole grid: a true + a
-        # sensed pass (the porter trace carries sensing noise).
-        assert len(calls) == 2
+        # One TracePhysics.compute for the whole grid: one solve over
+        # the true and sensed rows stacked (the porter trace carries
+        # sensing noise).
+        assert len(calls) == 1
         stats = runner.cache.stats
         assert stats.misses == 1 and stats.memory_hits == 2
 

@@ -5,10 +5,16 @@ through :class:`TracePhysicsStream` in chunks — any chunk size —
 produces per-chunk rows and a snapshot that are **bit-identical** to
 the one-shot :meth:`TracePhysics.compute` over the whole trace.  Pinned
 for every registry scenario, noisy and noiseless, at chunk sizes
-1 / 7 / full-trace.
+1 / 7 / full-trace.  The stream keeps no chunks, so the whole-trace
+comparison reassembles the states ``extend`` returned
+(:func:`_snapshot`).  Each chunk, like ``compute()``, costs one boundary
+solve over its true and sensed rows stacked; each half is pinned
+bitwise to a separate solve over that half's columns.
 """
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -42,6 +48,64 @@ def _stream_whole_trace(scenario, trace, chunk):
         states.append(stream.extend_trace(trace, lo, hi))
         lo = hi
     return stream, states
+
+
+def _snapshot(scenario, stream, trace, states):
+    """Assemble streamed chunk states into a whole-trace precompute.
+
+    ``states`` are what ``stream.extend`` returned, in order; they must
+    cover ``trace`` exactly.  The result is what
+    ``TracePhysics.compute(trace, ...)`` returns field for field,
+    including the noiseless solution aliasing: the trace is noiseless
+    exactly when every chunk was.
+    """
+    if trace.n_samples != stream.n_samples_seen:
+        raise SimulationError(
+            f"snapshot trace has {trace.n_samples} samples but "
+            f"{stream.n_samples_seen} were streamed"
+        )
+    if not states:
+        raise SimulationError("no chunks streamed yet")
+    start = 0
+    for state in states:
+        assert state.start_index == start, "states out of order"
+        start += state.n_samples
+    assert start == stream.n_samples_seen, "states do not cover the stream"
+
+    def concat(solutions):
+        return type(solutions[0]).concat(solutions)
+
+    true_solution = concat([s.true_solution for s in states])
+    noiseless = all(s.noiseless for s in states)
+    sensed_solution = (
+        true_solution
+        if noiseless
+        else concat([s.sensed_solution for s in states])
+    )
+    return TracePhysics(
+        trace=trace,
+        boundary=scenario.boundary,
+        module=scenario.module,
+        n_modules=scenario.n_modules,
+        true_solution=true_solution,
+        sensed_solution=sensed_solution,
+        sensed_temps_c=np.concatenate([s.sensed_temps_c for s in states]),
+        emf_true=np.concatenate([s.emf_true for s in states]),
+        module_resistance_ohm=float(scenario.module.internal_resistance()),
+        ideal_power_w=np.concatenate([s.ideal_power_w for s in states]),
+        noiseless=noiseless,
+    )
+
+
+def _assert_solutions_bitwise(actual, expected, label):
+    """Same concrete type and every flat column bitwise equal."""
+    assert type(actual) is type(expected), label
+    actual_arrays = actual.to_arrays()
+    expected_arrays = expected.to_arrays()
+    assert actual_arrays.keys() == expected_arrays.keys(), label
+    for key, value in expected_arrays.items():
+        assert actual_arrays[key].shape == value.shape, f"{label} {key}"
+        assert np.array_equal(actual_arrays[key], value), f"{label} {key}"
 
 
 def _assert_rows_bitwise(chunked, whole, lo, hi, label):
@@ -85,8 +149,8 @@ def test_stream_bit_identical_to_compute(name, chunk, noiseless):
         )
         assert state.noiseless == noiseless
 
-    # The snapshot reassembles the full TracePhysics, bitwise.
-    snapshot = stream.snapshot(trace)
+    # The returned states reassemble the full TracePhysics, bitwise.
+    snapshot = _snapshot(scenario, stream, trace, states)
     assert snapshot.noiseless == noiseless
     for attr in ("sensed_temps_c", "emf_true", "ideal_power_w"):
         assert np.array_equal(
@@ -95,12 +159,117 @@ def test_stream_bit_identical_to_compute(name, chunk, noiseless):
     # Every field the boundary's solution type carries — the flat
     # to_arrays() view covers subclass extras (e.g. the radiator's
     # exchanger columns and decay_per_m) without hard-coding them.
-    assert type(snapshot.true_solution) is type(reference.true_solution)
-    ref_arrays = reference.true_solution.to_arrays()
-    snap_arrays = snapshot.true_solution.to_arrays()
-    assert snap_arrays.keys() == ref_arrays.keys()
-    for key, ref_value in ref_arrays.items():
-        assert np.array_equal(snap_arrays[key], ref_value), key
+    _assert_solutions_bitwise(
+        snapshot.true_solution, reference.true_solution, "true"
+    )
+    _assert_solutions_bitwise(
+        snapshot.sensed_solution, reference.sensed_solution, "sensed"
+    )
+    assert (snapshot.sensed_solution is snapshot.true_solution) == noiseless
+    assert (
+        reference.sensed_solution is reference.true_solution
+    ) == noiseless
+
+
+def _counting_solves(monkeypatch, boundary):
+    """Count ``solve_trace`` calls on ``boundary``'s class."""
+    calls = []
+    cls = type(boundary)
+    original = cls.solve_trace
+
+    def counting(self, *args, **kwargs):
+        calls.append(len(args[0]))
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "solve_trace", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", default_registry().names())
+def test_noisy_chunk_and_compute_solve_once(name, monkeypatch):
+    """One stacked solve per noisy extend and per noisy compute, for
+    every registry scenario (radiator, exhaust-gas, finite-coupling and
+    the segmented-module exhaust chains)."""
+    scenario = build_named_scenario(name, duration_s=12.0, n_modules=9)
+    trace = scenario.trace
+    calls = _counting_solves(monkeypatch, scenario.boundary)
+    stream = TracePhysicsStream(
+        scenario.boundary, scenario.module, scenario.n_modules
+    )
+    state = stream.extend_trace(trace, 0, 5)
+    assert not state.noiseless
+    assert calls == [10]  # 5 true rows over 5 sensed rows
+    calls.clear()
+    physics = TracePhysics.compute(
+        trace, scenario.boundary, scenario.module, scenario.n_modules
+    )
+    assert not physics.noiseless
+    assert calls == [2 * trace.n_samples]
+
+
+@pytest.mark.parametrize("name", default_registry().names())
+@pytest.mark.parametrize("chunk", (1, 2, 7))
+def test_stacked_halves_equal_separate_solves(name, chunk):
+    """Each half of a chunk's stacked solve is bitwise the solve over
+    that half's own columns — same type, every flat column."""
+    scenario = build_named_scenario(name, duration_s=12.0, n_modules=9)
+    trace = scenario.trace
+    boundary = scenario.boundary
+    _, states = _stream_whole_trace(scenario, trace, chunk)
+    for state in states:
+        lo = state.start_index
+        hi = lo + state.n_samples
+        label = f"{name} chunk={chunk} [{lo}:{hi}]"
+        assert not state.noiseless, label
+        ambient = trace.ambient_c[lo:hi]
+        air_flow = trace.air_flow_kg_s[lo:hi]
+        true_alone = boundary.solve_trace(
+            trace.coolant_inlet_c[lo:hi],
+            trace.coolant_flow_kg_s[lo:hi],
+            ambient,
+            air_flow,
+            scenario.n_modules,
+        )
+        sensed_alone = boundary.solve_trace(
+            trace.coolant_inlet_sensed_c[lo:hi],
+            trace.coolant_flow_sensed_kg_s[lo:hi],
+            ambient,
+            air_flow,
+            scenario.n_modules,
+        )
+        _assert_solutions_bitwise(
+            state.true_solution, true_alone, f"{label} true"
+        )
+        _assert_solutions_bitwise(
+            state.sensed_solution, sensed_alone, f"{label} sensed"
+        )
+        assert np.array_equal(
+            state.sensed_temps_c, ambient[:, None] + sensed_alone.delta_t_k
+        ), label
+
+
+def test_stream_keeps_no_chunk_state():
+    """A long-lived stream holds only its sample count: the chunk
+    states it returned are freed once the caller drops them."""
+    scenario = build_named_scenario("porter-ii", duration_s=12.0, n_modules=9)
+    trace = scenario.trace
+    stream = TracePhysicsStream(
+        scenario.boundary, scenario.module, scenario.n_modules
+    )
+    refs = []
+    for _ in range(40):
+        for lo in range(0, trace.n_samples, 3):
+            hi = min(lo + 3, trace.n_samples)
+            refs.append(weakref.ref(stream.extend_trace(trace, lo, hi)))
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+    assert stream.n_samples_seen == 40 * trace.n_samples
+    held = [
+        value
+        for value in vars(stream).values()
+        if isinstance(value, (list, tuple, dict, np.ndarray))
+    ]
+    assert held == []
 
 
 def test_noiseless_chunks_alias_true_solution():
@@ -109,7 +278,9 @@ def test_noiseless_chunks_alias_true_solution():
     stream, states = _stream_whole_trace(scenario, trace, 5)
     for state in states:
         assert state.sensed_solution is state.true_solution
-    assert stream.snapshot(trace).noiseless
+    snapshot = _snapshot(scenario, stream, trace, states)
+    assert snapshot.noiseless
+    assert snapshot.sensed_solution is snapshot.true_solution
 
 
 def test_mixed_noise_chunks_snapshot_is_noisy():
@@ -124,7 +295,7 @@ def test_mixed_noise_chunks_snapshot_is_noisy():
     first = stream.extend_trace(clean, 0, mid)
     second = stream.extend_trace(trace, mid, trace.n_samples)
     assert first.noiseless and not second.noiseless
-    assert not stream.snapshot(trace).noiseless
+    assert not _snapshot(scenario, stream, trace, [first, second]).noiseless
 
 
 def test_snapshot_validates_sample_count():
@@ -133,9 +304,10 @@ def test_snapshot_validates_sample_count():
     stream = TracePhysicsStream(
         scenario.boundary, scenario.module, scenario.n_modules
     )
-    stream.extend_trace(trace, 0, trace.n_samples - 3)
+    state = stream.extend_trace(trace, 0, trace.n_samples - 3)
+    assert stream.n_samples_seen == trace.n_samples - 3
     with pytest.raises(SimulationError, match="samples"):
-        stream.snapshot(trace)
+        _snapshot(scenario, stream, trace, [state])
 
 
 def test_extend_rejects_bad_columns():

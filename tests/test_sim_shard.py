@@ -505,6 +505,40 @@ class TestConfiguredLeaseTTL:
         os.utime(lease, (stamp, stamp))
         return lease
 
+    def test_just_claimed_old_ticket_is_not_requeued(
+        self, small_grid, tmp_path, monkeypatch
+    ):
+        """A ticket older than TTL + skew margin, claimed a moment ago
+        but not yet stamped, is a live lease: another worker's requeue
+        running between the rename and the stamp must move nothing."""
+        from repro.sim import shard as shard_module
+
+        shard = tmp_path / "shard"
+        init_shard(shard, small_grid, warm=False, lease_ttl_s=5.0)
+        paths = shard_module._ShardPaths(shard)
+        for ticket in paths.pending.glob("*.json"):
+            stamp = time.time() - 3600.0
+            os.utime(ticket, (stamp, stamp))
+        stamp_lease = shard_module._write_json_atomic
+        requeued = []
+
+        def requeue_before_stamp(path, payload):
+            if path.parent == paths.leases and not requeued:
+                requeued.append(shard_module._requeue_expired(paths))
+            stamp_lease(path, payload)
+
+        monkeypatch.setattr(
+            shard_module, "_write_json_atomic", requeue_before_stamp
+        )
+        assert claim_case(shard, worker_id="w1") == "case-00000"
+        assert requeued == [0]
+        assert not paths.ticket("case-00000").exists()
+        lease = json.loads(paths.lease("case-00000").read_text())
+        assert lease["worker"] == "w1"
+        assert sorted(p.name for p in paths.leases.iterdir()) == [
+            "case-00000.json"
+        ]
+
     def test_manifest_records_configured_ttl(self, small_grid, tmp_path):
         shard = tmp_path / "shard"
         init_shard(shard, small_grid, warm=False, lease_ttl_s=5.0)

@@ -8,7 +8,10 @@ Pins the contracts every registered boundary must honour:
   (and the resulting physics-cache miss across types);
 * scalar ``operating_point`` == batched ``solve_trace`` row, bitwise,
   for the new boundaries (the protocol's default scalar path);
-* chunked-concat == one-shot solve, bitwise;
+* chunked-concat == one-shot solve, bitwise, and ``rows`` slicing
+  round-trips through ``concat`` for every solution type;
+* the exhaust-gas march bitwise equal to the unhoisted reference loop
+  (kept below as an oracle);
 * physical sanity of the exhaust-gas march and the finite-coupling
   divider, plus the pinned MPP/decision shift vs ideal coupling.
 """
@@ -267,6 +270,30 @@ class TestSolveContracts:
         for name, value in solution.to_arrays().items():
             assert np.array_equal(rebuilt.to_arrays()[name], value), name
 
+    @pytest.mark.parametrize(
+        "boundary,inputs",
+        _new_boundaries() + [(default_radiator(), _radiator_inputs())],
+        ids=["exhaust", "coupling", "radiator"],
+    )
+    @pytest.mark.parametrize("split", (0, 1, 17, 50))
+    def test_rows_round_trip(self, boundary, inputs, split):
+        """``concat([s.rows(0, k), s.rows(k, n)])`` is ``s``, field for
+        field — the radiator's exchanger columns included."""
+        inlet, flow, ambient, cold = inputs
+        solution = boundary.solve_trace(inlet, flow, ambient, cold, N_MODULES)
+        n = solution.n_samples
+        head, tail = solution.rows(0, split), solution.rows(split, n)
+        assert type(head) is type(solution) is type(tail)
+        assert (head.n_samples, tail.n_samples) == (split, n - split)
+        glued = type(solution).concat([head, tail])
+        assert type(glued) is type(solution)
+        arrays = solution.to_arrays()
+        assert glued.to_arrays().keys() == arrays.keys()
+        for name, value in arrays.items():
+            assert glued.to_arrays()[name].dtype == value.dtype, name
+            assert np.array_equal(glued.to_arrays()[name], value), name
+        assert dataclasses.fields(glued) == dataclasses.fields(solution)
+
     def test_exhaust_rejects_mismatched_shapes(self):
         boundary = ExhaustGasBoundary()
         with pytest.raises(ModelParameterError):
@@ -311,6 +338,92 @@ class TestExhaustPhysics:
         a = hot.solve_trace(inlet, flow, ambient, cold, N_MODULES)
         b = frozen.solve_trace(inlet, flow, ambient, cold, N_MODULES)
         assert not np.allclose(a.delta_t_k, b.delta_t_k, rtol=1e-6)
+
+
+def _unhoisted_exhaust_march(boundary, inlet, gas_flow, ambient, cold_flow, n):
+    """The exhaust march as written before its invariants were hoisted.
+
+    Test oracle only: recomputes ``t_gas - t_ref`` twice and both
+    constant resistances inside the module loop.
+    """
+    b = boundary
+    surface = np.empty((inlet.size, n))
+    sink = np.empty((inlet.size, n))
+    ua_gas_flow = b.ua_gas_ref_w_k * (
+        gas_flow / b.gas_ref_flow_kg_s
+    ) ** b.gas_flow_exponent
+    ua_cold = b.ua_cold_w_k * (
+        cold_flow / b.cold_ref_flow_kg_s
+    ) ** b.cold_flow_exponent
+    t_gas = inlet.copy()
+    for j in range(n):
+        cp = b.cp_ref_j_kg_k * (1.0 + b.cp_coeff_per_k * (t_gas - b.t_ref_c))
+        c_gas = gas_flow * cp
+        ua_gas = ua_gas_flow * (
+            1.0 + b.ua_temp_coeff_per_k * (t_gas - b.t_ref_c)
+        )
+        ua_total = 1.0 / (
+            1.0 / ua_gas + 1.0 / b.module_conductance_w_k + 1.0 / ua_cold
+        )
+        eps = 1.0 - np.exp(-ua_total / c_gas)
+        q = eps * c_gas * (t_gas - ambient)
+        surface[:, j] = t_gas - q / ua_gas
+        sink[:, j] = ambient + q / ua_cold
+        t_gas = t_gas - q / c_gas
+    active = inlet > ambient + 0.05
+    mask = active[:, None]
+    surface = np.where(mask, surface, inlet[:, None])
+    sink = np.where(mask, sink, ambient[:, None])
+    return surface, sink, surface - sink, active
+
+
+class TestExhaustMarchOracle:
+    """The hoisted march is bitwise the unhoisted one, inactive rows
+    (gas at or within 0.05 K of the cold loop) included."""
+
+    @staticmethod
+    def _inputs(seed, n=61):
+        inlet, flow, ambient, cold = _exhaust_inputs(n=n, seed=seed)
+        # Inactive rows: below, at, and just inside the 0.05 K margin.
+        inlet[::7] = ambient[::7] - 3.0
+        inlet[3::11] = ambient[3::11]
+        inlet[5::13] = ambient[5::13] + 0.05
+        return inlet, flow, ambient, cold
+
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    @pytest.mark.parametrize("n_modules", (1, 8, 64))
+    @pytest.mark.parametrize(
+        "params",
+        (
+            {},
+            {
+                "cp_coeff_per_k": 7.0e-4,
+                "t_ref_c": 250.0,
+                "ua_temp_coeff_per_k": 1.1e-3,
+                "module_conductance_w_k": 1.7,
+                "ua_cold_w_k": 33.0,
+            },
+        ),
+        ids=("default", "varied"),
+    )
+    def test_bitwise_equal_to_unhoisted_loop(self, seed, n_modules, params):
+        boundary = ExhaustGasBoundary(**params)
+        inputs = self._inputs(seed)
+        solution = boundary.solve_trace(*inputs, n_modules)
+        surface, sink, delta, active = _unhoisted_exhaust_march(
+            boundary, *inputs, n_modules
+        )
+        assert not active.all() and active.any()
+        assert np.array_equal(solution.active, active)
+        for actual, expected in (
+            (solution.surface_temps_c, surface),
+            (solution.sink_temps_c, sink),
+            (solution.delta_t_k, delta),
+        ):
+            assert actual.shape == (inputs[0].size, n_modules)
+            assert actual.flags.c_contiguous
+            assert np.array_equal(actual, expected)
+        assert np.array_equal(solution.ambient_c, inputs[2])
 
 
 class TestFiniteCoupling:
