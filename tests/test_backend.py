@@ -118,11 +118,98 @@ class TestPairwiseTreeBitwise:
             np.array([0, 5, 3]),
             np.array([-1, 2]),
             np.array([0, 99]),
+            # Non-integral or non-integer offsets are refused, never
+            # truncated into a different layout.
+            np.array([0, 1.5, 4]),
+            np.array([0.0, 2.0, 4.0]),
+            np.array([False, True]),
+            [0, 1.5, 4],
         ],
     )
     def test_rejects_malformed_offsets(self, offsets):
         with pytest.raises(ConfigurationError):
             segmented_pairwise_sum(np.ones(4), offsets)
+
+
+def _offsets(lengths) -> np.ndarray:
+    return np.concatenate(([0], np.cumsum(lengths))).astype(np.int64)
+
+
+class TestPairwiseLeafFuzz:
+    """The padded leaf gather against ``_reference`` on the shapes the
+    kernels feed it, and on the values padding could get wrong."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n_rows", [0, 1, 8])
+    def test_kernel_shaped_layouts(self, seed, n_rows):
+        """``(S + 1, G)`` blocks, segment lengths uniform over 1–130."""
+        rng = np.random.default_rng(100 * seed + n_rows)
+        offsets = _offsets(rng.integers(1, 131, size=int(rng.integers(1, 60))))
+        values = rng.normal(size=(n_rows + 1, int(offsets[-1])))
+        values *= np.exp(rng.uniform(-6.0, 6.0, values.shape))
+        values[rng.uniform(size=values.shape) < 0.05] = -0.0
+        got = segmented_pairwise_sum(values, offsets)
+        assert got.shape == (n_rows + 1, offsets.size - 1)
+        assert got.tobytes() == _reference(values, offsets).tobytes()
+
+    @pytest.mark.parametrize(
+        "lengths", [range(1, 18), range(120, 137)], ids=["1-17", "120-136"]
+    )
+    def test_all_negative_zero_segments(self, lengths):
+        """Every all-``-0.0`` sum is the ``+0.0`` of ``ndarray.sum``,
+        whether other leaves pad it with tail slots or not (one segment
+        alone)."""
+        layouts = [_offsets(list(lengths))] + [_offsets([n]) for n in lengths]
+        for offsets in layouts:
+            values = np.full((2, int(offsets[-1])), -0.0)
+            got = segmented_pairwise_sum(values, offsets)
+            want = _reference(values, offsets)
+            assert got.tobytes() == want.tobytes()
+            assert np.all(np.copysign(1.0, got) == 1.0)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_signed_infinities(self, seed):
+        """Segments holding one sign of ``inf`` sum to it, bit for bit."""
+        rng = np.random.default_rng(seed)
+        offsets = _offsets(rng.integers(1, 200, size=30))
+        values = rng.normal(size=(3, int(offsets[-1])))
+        for lo, hi in zip(offsets, offsets[1:]):
+            hits = rng.integers(lo, hi, size=int(rng.integers(0, 3)))
+            values[:, hits] = rng.choice([np.inf, -np.inf])
+        got = segmented_pairwise_sum(values, offsets)
+        want = _reference(values, offsets)
+        assert np.isinf(want).any()
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_nan_positions(self, seed):
+        """NaN and mixed ``±inf`` segments are NaN exactly where
+        ``ndarray.sum``'s are; every other sum is bitwise equal."""
+        rng = np.random.default_rng(seed)
+        offsets = _offsets(rng.integers(1, 200, size=30))
+        values = rng.normal(size=(3, int(offsets[-1])))
+        values[rng.uniform(size=values.shape) < 0.004] = np.nan
+        values[rng.uniform(size=values.shape) < 0.004] = np.inf
+        values[rng.uniform(size=values.shape) < 0.004] = -np.inf
+        with np.errstate(invalid="ignore"):  # inf - inf
+            got = segmented_pairwise_sum(values, offsets)
+            want = _reference(values, offsets)
+        nan = np.isnan(want)
+        assert nan.any() and not nan.all()
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
+    def test_split_leaves_straddle_blocks(self):
+        """Segments over the leaf size, starting off the 8-grid, whose
+        split halves end in partial 8-blocks and tails."""
+        lengths = [3, 129, 135, 5, 257, 300, 7, 519, 1031, 130, 0, 2 * 128 + 9]
+        offsets = _offsets(lengths)
+        rng = np.random.default_rng(11)
+        values = rng.normal(size=(2, 2, int(offsets[-1])))
+        values *= np.exp(rng.uniform(-8.0, 8.0, values.shape))
+        values[rng.uniform(size=values.shape) < 0.05] = -0.0
+        got = segmented_pairwise_sum(values, offsets)
+        assert got.tobytes() == _reference(values, offsets).tobytes()
 
 
 class TestSearchsortedRowsRight:
