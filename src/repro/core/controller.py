@@ -288,7 +288,7 @@ class DNORPolicy(ReconfigurationPolicy):
             return None
         history, new_rows = due
         decision = self._planner.plan(
-            history, ambient_c, self._current, time_s, new_rows=new_rows,
+            history, ambient_c, self._current, new_rows=new_rows
         )
         return self.commit(time_s, decision)
 

@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.core.config import ArrayConfiguration
 from repro.core.inor import (
-    _score_candidates_batched,
     converter_aware_group_range,
     greedy_balanced_partition,
 )
@@ -31,6 +30,7 @@ from repro.errors import ConfigurationError
 from repro.power.charger import TEGCharger
 from repro.teg.faults import FaultMask
 from repro.teg.module import MPPPoint
+from repro.teg.network import array_mpp_multi
 
 
 @dataclass(frozen=True)
@@ -70,10 +70,8 @@ def fault_aware_candidates(
     merges segment partitions across forced boundaries, returning the
     de-duplicated feasible configurations in ascending group-count
     order.  This is the proposal generator behind
-    :func:`fault_aware_inor` (which batch-scores the whole list in one
-    kernel pass) and the candidate source for
-    :meth:`repro.core.dnor.DNORPlanner.plan_batch`, which scores every
-    proposal over a forecast horizon in one stacked call.
+    :func:`fault_aware_inor`, which batch-scores the whole list in one
+    kernel pass.
 
     Raises
     ------
@@ -181,10 +179,10 @@ def fault_aware_inor(
 
     Generates the feasible candidate set with
     :func:`fault_aware_candidates` and ranks it by (charger-degraded)
-    power through :func:`repro.core.inor.inor`'s batched scoring: one
-    :func:`repro.teg.network.array_mpp_multi` pass and the row-vector
-    converter API, first maximum winning like the ascending scan.
-    Candidates are feasible configurations by construction.
+    power: one :func:`repro.teg.network.array_mpp_multi` pass and the
+    row-vector converter API, first maximum winning like the ascending
+    scan.  Candidates are feasible configurations by construction, so
+    the kernel's validation sweep is skipped.
 
     Raises
     ------
@@ -194,12 +192,23 @@ def fault_aware_inor(
     emf = np.asarray(emf, dtype=float)
     resistance = np.asarray(resistance, dtype=float)
     candidates = fault_aware_candidates(emf, resistance, mask, charger)
-    best, best_mpp, best_score = _score_candidates_batched(
-        emf, resistance, [config.starts for config in candidates], charger
+    power, voltage, current = array_mpp_multi(
+        emf,
+        resistance,
+        [config.starts for config in candidates],
+        validate=False,
     )
+    scores = (
+        power if charger is None else charger.delivered_batch(power, voltage)
+    )
+    best = int(np.argmax(scores))
     return FaultAwareResult(
         config=candidates[best],
-        mpp=best_mpp,
-        delivered_power_w=best_score,
+        mpp=MPPPoint(
+            voltage_v=float(voltage[best]),
+            current_a=float(current[best]),
+            power_w=float(power[best]),
+        ),
+        delivered_power_w=float(scores[best]),
         fault_mask=mask,
     )

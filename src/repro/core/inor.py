@@ -27,18 +27,20 @@ candidates are ranked by *delivered* power (array MPP power times
 converter efficiency at the MPP voltage); without one, by raw
 electrical MPP power.
 
-The whole decision is vectorised: the default ``kernel="batched"``
-builds the greedy partition of every group count through
-:func:`repro.teg.network.partition_multi` (the one-case form of the
-stacked partition build), evaluates every candidate's exact MPP through
-:func:`repro.teg.network.array_mpp_multi` (one lane per candidate of
-the shared MPP scoring core) and ranks the window with the charger's
-row-vector API — build + score + rank with no per-candidate Python,
-bit-identical to the retained ``kernel="scalar"`` reference loop (one
-greedy walk plus one ``array_mpp`` call per candidate).
-:func:`inor_stack` runs the same two kernels over a stacked case grid.
-The group-count window comes from the charger at the fixed converter
-tolerance :data:`WINDOW_EFFICIENCY_DROP`.
+The whole decision is vectorised, and the one-case call of the
+grid-stacked pass: the default ``kernel="batched"`` runs
+:func:`_inor_stack_raw` over a one-row EMF matrix, which builds the
+greedy partition of every group count through
+:func:`repro.teg.network.partition_multi_stack`, evaluates every
+candidate's exact MPP through
+:func:`repro.teg.network.array_mpp_multi_stack` and ranks the window
+with the charger's row-vector API — build + score + rank with no
+per-candidate Python, bit-identical to the retained ``kernel="scalar"``
+reference loop (one greedy walk plus one ``array_mpp`` call per
+candidate).  :func:`inor_stack` runs the same pass over a stacked case
+grid, and :func:`repro.core.dnor.dnor_stack` takes its proposals from
+it.  The group-count window comes from the charger at the fixed
+converter tolerance :data:`WINDOW_EFFICIENCY_DROP`.
 """
 
 from __future__ import annotations
@@ -54,13 +56,14 @@ from repro.errors import ConfigurationError
 from repro.power.charger import TEGCharger
 from repro.teg.module import MPPPoint
 from repro.teg.network import (
+    PartitionStack,
     array_mpp,
-    array_mpp_multi,
     array_mpp_multi_stack,
     greedy_balanced_partition,
-    partition_multi,
     partition_multi_stack,
 )
+# Unused here, but perfbench/tracing.py probes these names in this module.
+from repro.teg.network import array_mpp_multi, partition_multi  # noqa: F401
 
 __all__ = [
     "INOR_KERNELS",
@@ -74,9 +77,7 @@ __all__ = [
 ]
 
 #: Valid values of the :func:`inor` ``kernel`` argument.  ``"batched"``
-#: builds the whole candidate window as a one-case partition stack
-#: (:func:`repro.teg.network.partition_multi`) and scores it in one pass
-#: of the shared scoring core (:func:`repro.teg.network.array_mpp_multi`);
+#: is the one-case call of the stacked pass :func:`_inor_stack_raw`;
 #: ``"scalar"`` is the pre-vectorisation per-candidate loop, retained as
 #: the reference implementation the batched kernel is pinned
 #: bit-identical against.
@@ -181,41 +182,6 @@ def _score_candidates_scalar(
     return best_index, best_mpp, float(best_score)
 
 
-def _score_candidates_batched(
-    emf: np.ndarray,
-    resistance: np.ndarray,
-    candidates: list,
-    charger: Optional[TEGCharger],
-) -> Tuple[int, MPPPoint, float]:
-    """Score the whole candidate window in one vectorised pass.
-
-    One :func:`array_mpp_multi` reduction evaluates every candidate's
-    exact MPP, and the charger ranking reuses the converter's
-    row-vector API — both elementwise bit-identical to the scalar
-    loop, so ``np.argmax`` (first maximum) reproduces the reference
-    tie-breaking exactly.  ``candidates`` is typically the
-    :class:`~repro.teg.network.PartitionSet` built by
-    :func:`~repro.teg.network.partition_multi`, whose flat layout the
-    kernel consumes without per-candidate Python.  Validation is
-    skipped: the greedy walk produces partitions correct by
-    construction.
-    """
-    power, voltage, current = array_mpp_multi(
-        emf, resistance, candidates, validate=False
-    )
-    if charger is not None:
-        scores = charger.delivered_batch(power, voltage)
-    else:
-        scores = power
-    best_index = int(np.argmax(scores))
-    best_mpp = MPPPoint(
-        voltage_v=float(voltage[best_index]),
-        current_a=float(current[best_index]),
-        power_w=float(power[best_index]),
-    )
-    return best_index, best_mpp, float(scores[best_index])
-
-
 def inor(
     emf: np.ndarray,
     resistance: np.ndarray,
@@ -238,14 +204,12 @@ def inor(
         Explicit range overrides (either may be None to use the
         converter-derived value).
     kernel:
-        ``"batched"`` (default) builds every candidate partition in
-        one :func:`repro.teg.network.partition_multi` pass and scores
-        the window in one :func:`repro.teg.network.array_mpp_multi`
-        pass; ``"scalar"`` runs the original per-candidate loop (one
-        greedy walk + one ``array_mpp`` per group count).  The two are bit-identical —
-        same cut indices, same MPPs, same ranking (pinned in the test
-        suite) — so the kernel is a speed choice, never a results
-        choice.
+        ``"batched"`` (default) is one one-case :func:`_inor_stack_raw`
+        pass over the window; ``"scalar"`` runs the original
+        per-candidate loop (one greedy walk + one ``array_mpp`` per
+        group count).  The two are bit-identical — same cut indices,
+        same MPPs, same ranking (pinned in the test suite) — so the
+        kernel is a speed choice, never a results choice.
 
     Raises
     ------
@@ -275,21 +239,20 @@ def inor(
             f"invalid group-count range [{lo}, {hi}] for {n_modules} modules"
         )
 
-    mpp_currents = emf / (2.0 * resistance)
     if kernel == "batched":
-        candidates = partition_multi(mpp_currents, lo, hi)
-        best_index, best_mpp, best_score = _score_candidates_batched(
-            emf, resistance, candidates, charger
+        raw = _inor_stack_raw(
+            emf[None], resistance, charger, np.array([lo]), np.array([hi])
         )
-    else:
-        candidates = [
-            greedy_balanced_partition(mpp_currents, n_groups)
-            for n_groups in range(lo, hi + 1)
-        ]
-        best_index, best_mpp, best_score = _score_candidates_scalar(
-            emf, resistance, candidates, charger
-        )
+        return _inor_result(raw, 0)
 
+    mpp_currents = emf / (2.0 * resistance)
+    candidates = [
+        greedy_balanced_partition(mpp_currents, n_groups)
+        for n_groups in range(lo, hi + 1)
+    ]
+    best_index, best_mpp, best_score = _score_candidates_scalar(
+        emf, resistance, candidates, charger
+    )
     return InorResult(
         config=ArrayConfiguration(
             starts=tuple(int(s) for s in candidates[best_index]),
@@ -344,21 +307,28 @@ def _inor_stack_raw(
     emf_rows: np.ndarray,
     resistance: np.ndarray,
     charger: Optional[TEGCharger],
+    n_mins: Optional[np.ndarray] = None,
+    n_maxs: Optional[np.ndarray] = None,
 ):
-    """The fused INOR grid pass, returning flat kernel-layer arrays.
+    """The fused INOR pass, returning flat kernel-layer arrays.
 
-    Shared engine of :func:`inor_stack` and the grid-stacked simulation
-    fabric (:mod:`repro.sim.gridstack`), which consumes the winner
-    indices and :class:`~repro.teg.network.PartitionStack` directly —
-    skipping per-case result-object packaging in its hot loop.
+    The one ranking of every batched INOR caller: :func:`inor` (one
+    case), :func:`inor_stack`, :func:`repro.core.dnor.dnor_stack` and
+    the grid-stacked simulation fabric (:mod:`repro.sim.gridstack`),
+    which consumes the winner indices and
+    :class:`~repro.teg.network.PartitionStack` directly — skipping
+    per-case result-object packaging in its hot loop.  ``n_mins`` /
+    ``n_maxs`` are the per-case group-count windows, derived from the
+    charger by :func:`converter_aware_group_range_rows` when omitted.
     Returns ``(stack, power, voltage, current, scores, winners,
     n_mins, n_maxs)`` with ``winners[c]`` the stacked index of case
     ``c``'s first-maximum candidate.
     """
     n_cases, n_modules = emf_rows.shape
-    n_mins, n_maxs = converter_aware_group_range_rows(
-        emf_rows, n_modules, charger
-    )
+    if n_mins is None or n_maxs is None:
+        n_mins, n_maxs = converter_aware_group_range_rows(
+            emf_rows, n_modules, charger
+        )
 
     mpp_current_rows = emf_rows / (2.0 * resistance)
     stack = partition_multi_stack(mpp_current_rows, n_mins, n_maxs)
@@ -371,7 +341,7 @@ def _inor_stack_raw(
         scores = power
 
     # Per-case first-maximum winners without a case loop: scatter each
-    # case's scores into a -inf-padded row, argmax along the row.
+    # case's scores into a -inf-padded row, argmax along it.
     widths = np.diff(stack.case_offsets)
     w_max = int(widths.max())
     padded = np.full((n_cases, w_max), -np.inf)
@@ -413,30 +383,34 @@ def inor_stack(
             f"emf_rows must be a non-empty (C, N) matrix with matching "
             f"(N,) resistance, got {emf_rows.shape} and {resistance.shape}"
         )
-    stack, power, voltage, current, scores, winners, n_mins, n_maxs = (
-        _inor_stack_raw(emf_rows, resistance, charger)
-    )
-    n_cases, n_modules = emf_rows.shape
-    widths = np.diff(stack.case_offsets)
+    raw = _inor_stack_raw(emf_rows, resistance, charger)
+    return tuple(_inor_result(raw, c) for c in range(emf_rows.shape[0]))
 
-    results = []
-    for c in range(n_cases):  # result packaging only — no kernel work
-        best = int(winners[c])
-        lo, hi = stack.offsets[best], stack.offsets[best + 1]
-        results.append(
-            InorResult(
-                config=ArrayConfiguration(
-                    starts=tuple(int(s) for s in stack.cat[lo:hi]),
-                    n_modules=n_modules,
-                ),
-                mpp=MPPPoint(
-                    voltage_v=float(voltage[best]),
-                    current_a=float(current[best]),
-                    power_w=float(power[best]),
-                ),
-                delivered_power_w=float(scores[best]),
-                n_range=(int(n_mins[c]), int(n_maxs[c])),
-                candidates_evaluated=int(widths[c]),
-            )
-        )
-    return tuple(results)
+
+def _winner_config(stack: PartitionStack, best: int) -> ArrayConfiguration:
+    """The configuration of stacked candidate ``best``."""
+    lo, hi = stack.offsets[best], stack.offsets[best + 1]
+    return ArrayConfiguration(
+        starts=tuple(int(s) for s in stack.cat[lo:hi]),
+        n_modules=stack.n_modules,
+    )
+
+
+def _inor_result(raw: tuple, case: int) -> InorResult:
+    """Case ``case``'s :class:`InorResult` from one :func:`_inor_stack_raw`
+    pass — result packaging only, no kernel work."""
+    stack, power, voltage, current, scores, winners, n_mins, n_maxs = raw
+    best = int(winners[case])
+    return InorResult(
+        config=_winner_config(stack, best),
+        mpp=MPPPoint(
+            voltage_v=float(voltage[best]),
+            current_a=float(current[best]),
+            power_w=float(power[best]),
+        ),
+        delivered_power_w=float(scores[best]),
+        n_range=(int(n_mins[case]), int(n_maxs[case])),
+        candidates_evaluated=int(
+            stack.case_offsets[case + 1] - stack.case_offsets[case]
+        ),
+    )

@@ -120,7 +120,7 @@ class OracleDNORPolicy(ReconfigurationPolicy):
         oracle: _OracleForecaster = self._planner.predictor  # type: ignore[assignment]
         oracle.set_cursor(min(step, self._future.shape[0] - 1))
         history = np.vstack(self._history[-8:])
-        decision = self._planner.plan(history, ambient_c, self._current, time_s)
+        decision = self._planner.plan(history, ambient_c, self._current)
         if decision.switch:
             self._current = decision.config
             self._switch_count += 1

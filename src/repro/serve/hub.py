@@ -11,16 +11,17 @@ a standalone :class:`~repro.core.controller.PeriodicPolicy` would make,
 which is what keeps the online decision logs byte-equal to the offline
 batch reference.
 
-Batched-kernel DNOR sessions under nominal compute accounting
-micro-batch the same way, one level up: their due *epochs* queue on the
+DNOR sessions under nominal compute accounting micro-batch the same
+way, one level up: their due *epochs* queue on the
 session (:attr:`StreamSession.pending_epochs`) and the hub plans them
 in rounds through :func:`repro.core.dnor.dnor_stack` — the r-th pending
 epoch of every compatible session becomes one stacked Algorithm 2 pass.
 Rounds, not one flat batch, because epoch r+1 of a session depends on
-epoch r's committed configuration and predictor-stream refit;
-``dnor_stack`` is pinned bit-identical per lane to
-:meth:`~repro.core.dnor.DNORPlanner.plan`, which keeps the stacked
-online log byte-equal to the inline one.
+epoch r's committed configuration and predictor-stream refit.
+:meth:`~repro.core.dnor.DNORPlanner.plan` is the one-lane call of
+``dnor_stack`` (the K-lane decisions are pinned equal to it lane for
+lane), which keeps the stacked online log byte-equal to the inline
+one.
 
 Sessions stack only when their decision inputs are interchangeable —
 same module electrical identity, array size and converter curve
@@ -73,8 +74,8 @@ def _stack_key(session: StreamSession) -> Tuple:
     Shaped like :func:`repro.sim.gridstack._group_key`: policy, array
     size, module electricals and converter, plus for DNOR the horizon
     geometry ``(tp_seconds, dt_s)`` of the ``dnor_stack`` homogeneity
-    contract (micro-batched DNOR sessions all run the batched INOR
-    kernel).
+    contract (DNOR always proposes through the batched INOR pass, so
+    the scenario's INOR kernel is not part of the key).
     """
     scenario = session.scenario
     key: Tuple = (
@@ -206,9 +207,9 @@ class SessionHub:
         commits each lane's decision back to its session.  Sequencing
         by rounds is mandatory: epoch ``r+1`` depends on epoch ``r``'s
         committed configuration and on the predictor-stream mutations
-        its plan performs.  ``dnor_stack`` ignores ``time_s`` in the
-        decision math, so lanes whose epochs fired at different stream
-        times stack safely.
+        its plan performs.  ``dnor_stack`` takes no time argument, so
+        lanes whose epochs fired at different stream times stack
+        safely.
         """
         emitted: Dict[str, List[DecisionRecord]] = {}
         while True:
@@ -221,7 +222,6 @@ class SessionHub:
                 [p.history for p in heads],
                 np.array([p.ambient_c for p in heads]),
                 [s.dnor_current for s in live],
-                time_s=heads[0].time_s,
                 new_rows=[p.new_rows for p in heads],
             )
             self._count_pass(len(live), len(live))

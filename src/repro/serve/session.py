@@ -16,8 +16,8 @@ be decided online exactly as the offline batch engine would decide it:
   in stacked kernel passes across every concurrent session: for
   batched-kernel INOR, the replica of
   :class:`~repro.core.controller.PeriodicPolicy`'s period gating plus
-  pending EMF rows; for batched-kernel DNOR under nominal compute
-  accounting, the :meth:`~repro.core.controller.DNORPolicy.observe` /
+  pending EMF rows; for DNOR under nominal compute accounting, the
+  :meth:`~repro.core.controller.DNORPolicy.observe` /
   :meth:`~repro.core.controller.DNORPolicy.commit` split plus pending
   *epochs* that the hub plans through
   :func:`~repro.core.dnor.dnor_stack`.
@@ -171,15 +171,14 @@ class StreamSession:
         )
         self._scanner = scenario.make_scanner()
         self._scanner.reset()
-        batched = scenario.inor_kernel == "batched"
-        self._inor_stacked = policy == "INOR" and batched
+        self._inor_stacked = (
+            policy == "INOR" and scenario.inor_kernel == "batched"
+        )
         # DNOR micro-batching needs the stacked epoch kernel's fused
-        # contract: the batched kernel and deterministic (nominal)
-        # compute accounting.  Measured-compute sessions stay inline.
+        # contract: deterministic (nominal) compute accounting.
+        # Measured-compute sessions stay inline.
         self._dnor_stacked = (
-            policy == "DNOR"
-            and batched
-            and scenario.nominal_compute_s is not None
+            policy == "DNOR" and scenario.nominal_compute_s is not None
         )
         if self._inor_stacked:
             self._policy = None

@@ -35,10 +35,12 @@ across the group.  The parity argument layer by layer:
   and :class:`~repro.core.controller.DNORPolicy` depend only on the
   shared time vector and period, so one replicated schedule drives
   every case;
-* ``inor_stack`` / ``dnor_stack`` / ``array_mpp_rows`` are pinned
-  bit-identical to their per-case forms by the kernel parity suites.
+* ``inor_stack`` / ``array_mpp_rows`` are pinned bit-identical to
+  their per-case forms by the kernel parity suites, and the serial
+  path's :meth:`~repro.core.dnor.DNORPlanner.plan` is ``dnor_stack``'s
+  one-lane call (its K-lane decisions pinned equal lane for lane).
 
-Cases that do not fit the fused contract — EHTR, scalar kernels,
+Cases that do not fit the fused contract — EHTR, scalar-kernel INOR,
 measured (non-nominal) compute time, P&O tracking — fall back to
 :func:`repro.sim.engine.run_case` over the same shared physics, i.e.
 exactly the serial path.  Mixed grids therefore partition into
@@ -68,10 +70,10 @@ def fusable_reason(case) -> Optional[str]:
     """Why ``case`` cannot join a fused group, or ``None`` if it can.
 
     The fused pass covers the grid's hot diagonals — batched-kernel
-    INOR and DNOR under deterministic (nominal) compute accounting,
-    plus the trivially stackable Baseline — and leaves every other
-    shape to the bit-identical per-case path rather than growing
-    special cases.
+    INOR and DNOR (which always proposes through the batched INOR
+    pass) under deterministic (nominal) compute accounting, plus the
+    trivially stackable Baseline — and leaves every other shape to the
+    bit-identical per-case path rather than growing special cases.
     """
     scenario = case.scenario
     if not scenario.make_charger(with_battery=case.with_battery).exact_tracking:
@@ -80,7 +82,7 @@ def fusable_reason(case) -> Optional[str]:
         return None
     if case.policy not in ("INOR", "DNOR"):
         return f"policy {case.policy!r} has no stacked epoch kernel"
-    if scenario.inor_kernel != "batched":
+    if case.policy == "INOR" and scenario.inor_kernel != "batched":
         return f"kernel {scenario.inor_kernel!r} is the scalar reference"
     if scenario.nominal_compute_s is None:
         return "measured compute time is per-case wall-clock"
@@ -356,8 +358,11 @@ def _run_dnor_group(cases: Sequence, physics) -> List[SimulationResult]:
         ]
         t0 = time.perf_counter()
         decisions = dnor_stack(
-            planners, histories, ambient, currents,
-            time_s=t, new_rows=[new_rows] * n_cases,
+            planners,
+            histories,
+            ambient,
+            currents,
+            new_rows=[new_rows] * n_cases,
         )
         runtimes[:, i] = (time.perf_counter() - t0) / n_cases
 

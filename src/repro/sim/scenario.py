@@ -151,9 +151,10 @@ class Scenario:
     nominal_compute_s:
         Optional fixed compute time for deterministic overhead bills.
     inor_kernel:
-        Candidate-evaluation kernel the INOR and DNOR policies use —
-        ``"batched"`` (default: the vectorised build + score fast
-        path) or ``"scalar"`` (the per-candidate reference loop).
+        Candidate-evaluation kernel the INOR policy uses — ``"batched"``
+        (default: the vectorised build + score fast path) or
+        ``"scalar"`` (the per-candidate reference loop).  DNOR always
+        proposes through the batched INOR pass.
         Decisions are bit-identical either way; the knob exists for
         cross-validation and profiling (``repro batch --kernel``).
     """
@@ -369,7 +370,6 @@ class Scenario:
             tp_seconds=self.tp_seconds,
             sample_dt_s=self.trace.dt_s,
             nominal_compute_s=self.nominal_compute_s,
-            inor_kernel=self.inor_kernel,
             refit=refit,
         )
         return DNORPolicy(planner)

@@ -20,11 +20,12 @@ here only sequences the *stateful* parts — sensor noise, policy
 decisions, switch fabric — and the electrical series is evaluated in
 batched segments of constant configuration through the converter's
 row-vector API.  The policy decisions themselves are vectorised too:
-INOR builds its whole candidate window as a one-case partition stack
-(``partition_multi``) and DNOR stacks its epoch's horizon energies into
-one ``array_mpp_rows_multi`` call, both scored by the one MPP scoring
-core of :mod:`repro.teg.network` (bit-identical to their scalar
-reference loops, selectable via the scenario's ``inor_kernel``), so no
+INOR builds and scores its whole candidate window as a one-case
+partition stack, and DNOR's epoch is a one-lane ``dnor_stack`` call
+that scores its horizon energies in one ``array_mpp_rows_multi_stack``
+call, both through the one MPP scoring core of
+:mod:`repro.teg.network` (INOR bit-identical to its scalar reference
+loop, selectable via the scenario's ``inor_kernel``), so no
 layer of the engine runs per-sample or per-candidate Python.  The
 pre-refactor sample-by-sample path (two boundary solves and a scalar
 charger step per sample) is retained as ``engine="reference"`` for

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.config import ArrayConfiguration
-from repro.core.dnor import DNORPlanner, thevenin_from_temps
+from repro.core.dnor import DNORPlanner, dnor_stack, thevenin_from_temps
+from repro.core.inor import inor
 from repro.core.overhead import SwitchingOverheadModel
 from repro.errors import ConfigurationError
 from repro.power.charger import TEGCharger
@@ -14,7 +15,7 @@ from repro.teg.network import array_mpp
 
 
 def make_planner(
-    tp_seconds=1.0, overhead=None, nominal_compute_s=None
+    tp_seconds=1.0, overhead=None, nominal_compute_s=None, refit="full"
 ) -> DNORPlanner:
     return DNORPlanner(
         module=TGM_199_1_4_0_8,
@@ -24,6 +25,7 @@ def make_planner(
         tp_seconds=tp_seconds,
         sample_dt_s=0.5,
         nominal_compute_s=nominal_compute_s,
+        refit=refit,
     )
 
 
@@ -118,6 +120,29 @@ class TestSwitchDecision:
             )
             assert decision.switch == expected
 
+    def test_measured_compute_is_the_billed_inor_time(self):
+        """Without nominal_compute_s the bill charges the epoch's own
+        measured INOR pass, the time the decision reports."""
+        planner = make_planner()
+        history = steady_history()
+        current = ArrayConfiguration.all_parallel(history.shape[1])
+        decision = planner.plan(history, 25.0, current=current)
+        assert decision.candidate != current  # horizon path taken
+        assert decision.inor_seconds > 0.0
+        emf, res = thevenin_from_temps(TGM_199_1_4_0_8, history[-1], 25.0)
+        power_now = planner._charger.delivered_at_mpp(
+            array_mpp(emf, res, current.starts)
+        )
+        toggles = current.switch_toggles_to(decision.candidate)
+        assert decision.energy_overhead_j == planner._overhead.event_energy_j(
+            max(power_now, 0.0),
+            compute_time_s=decision.inor_seconds,
+            toggles=toggles,
+        )
+        assert decision.energy_overhead_j > planner._overhead.event_energy_j(
+            max(power_now, 0.0), compute_time_s=0.0, toggles=toggles
+        )
+
 
 class TestHorizonEnergy:
     def test_energy_consistent_with_network(self):
@@ -157,16 +182,6 @@ class TestValidation:
     def test_epoch_length(self):
         assert make_planner(tp_seconds=2.0).epoch_seconds == pytest.approx(3.0)
 
-    def test_rejects_unknown_inor_kernel(self):
-        with pytest.raises(ConfigurationError):
-            DNORPlanner(
-                module=TGM_199_1_4_0_8,
-                charger=TEGCharger(),
-                overhead=SwitchingOverheadModel(),
-                predictor=MLRPredictor(),
-                inor_kernel="quantum",
-            )
-
 
 class TestKeepPathWithArrayTypedStarts:
     """Regression: the identical-proposal test must stay a scalar truth
@@ -189,48 +204,16 @@ class TestKeepPathWithArrayTypedStarts:
         assert decision.energy_overhead_j == 0.0
         assert decision.predict_seconds == 0.0
 
-    def test_plan_batch_keep_path_with_ndarray_built_candidates(self):
-        planner = make_planner()
-        history = steady_history()
-        proposal = planner.plan(history, 25.0, current=None).config
-        current = ArrayConfiguration(
-            starts=np.asarray(proposal.starts, dtype=np.int64),
-            n_modules=proposal.n_modules,
-        )
-        decision = planner.plan_batch(
-            history, 25.0, current=current, candidates=[current, proposal]
-        )
-        assert not decision.switch
-        assert decision.energy_overhead_j == 0.0
-
-
-class TestHorizonEnergyMulti:
-    def test_stacked_energies_bitwise_equal_sequential(self):
-        """The one-pass epoch kernel must equal per-config calls exactly
-        (not approximately) — the bit-reproducibility contract."""
-        planner = make_planner()
-        history = steady_history(10, 12)
-        rng = np.random.default_rng(3)
-        rows = history[-4:] + rng.normal(0.0, 1.5, (4, 12))
-        configs = (
-            ArrayConfiguration.uniform(12, 3),
-            ArrayConfiguration.all_parallel(12),
-            ArrayConfiguration.uniform(12, 6),
-            ArrayConfiguration.all_series(12),
-        )
-        stacked = planner._horizon_energy_multi(configs, rows, 25.0)
-        sequential = [
-            planner._horizon_energy(config, rows, 25.0) for config in configs
-        ]
-        assert stacked.tolist() == sequential  # bitwise, not approx
-
 
 class TestPlanBatch:
+    """plan()'s epoch, one stacked horizon pass, against the decision
+    rebuilt from the single-configuration reference kernels."""
+
     def test_stacked_decision_pin_equals_sequential_evaluation(self):
         """The batched epoch must reproduce the decision reconstructed
         from *sequential* single-configuration horizon scoring — the
-        sequential-plan pin (plan() itself delegates to plan_batch, so
-        the reference here is rebuilt from the scalar kernels; nominal
+        sequential-plan pin (plan() is a one-lane dnor_stack, so the
+        reference here is rebuilt from the scalar kernels; nominal
         compute keeps the overhead bill machine-independent)."""
         planner = make_planner(nominal_compute_s=2.0e-3)
         history = steady_history()
@@ -264,90 +247,39 @@ class TestPlanBatch:
             assert decision.energy_overhead_j == overhead
             assert decision.switch == (energy_old <= energy_new - overhead)
 
-    def test_plan_is_plan_batch_single_candidate(self):
-        """plan() and plan_batch(candidates=None) are one decision path
-        (guards against the two entry points ever diverging again)."""
-        planner = make_planner(nominal_compute_s=2.0e-3)
-        history = steady_history()
-        current = ArrayConfiguration.all_parallel(history.shape[1])
-        a = planner.plan(history, 25.0, current=current)
-        b = planner.plan_batch(history, 25.0, current=current)
-        assert (a.switch, a.config, a.candidate) == (
-            b.switch,
-            b.config,
-            b.candidate,
-        )
-        assert a.energy_old_j == b.energy_old_j
-        assert a.energy_new_j == b.energy_new_j
-        assert a.energy_overhead_j == b.energy_overhead_j
-
     def test_keep_path_is_free(self):
-        planner = make_planner()
+        """A free keep forecasts nothing but still streams the fresh
+        rows into an incremental predictor, so its window keeps up."""
+        planner = make_planner(refit="incremental")
         history = steady_history()
         proposal = planner.plan(history, 25.0, current=None).config
-        decision = planner.plan_batch(history, 25.0, current=proposal)
+        streamed = planner.predictor._stream.copy()
+        grown = np.vstack([history, history[-5:]])
+        decision = planner.plan(grown, 25.0, current=proposal, new_rows=5)
         assert not decision.switch
         assert decision.config == proposal
         assert decision.energy_overhead_j == 0.0
         assert decision.predict_seconds == 0.0
-
-    def test_multiple_candidates_picks_best_net_energy(self):
-        """The winner must be argmax of (horizon energy - overhead) and
-        the paper's inequality applied against it, consistent with the
-        single-config reference kernels."""
-        planner = make_planner(nominal_compute_s=2.0e-3)
-        history = steady_history()
-        n = history.shape[1]
-        current = ArrayConfiguration.all_parallel(n)
-        proposal = planner.plan(history, 25.0, current=None).config
-        candidates = [
-            ArrayConfiguration.uniform(n, 4),
-            proposal,
-            ArrayConfiguration.uniform(n, 2),
-        ]
-        decision = planner.plan_batch(
-            history, 25.0, current=current, candidates=candidates
-        )
-        # Recompute expectations through the scalar reference kernel.
-        horizon_rows, _, _ = planner._forecast_horizon(history, history[-1])
-        energy_old = planner._horizon_energy(current, horizon_rows, 25.0)
-        emf, res = thevenin_from_temps(TGM_199_1_4_0_8, history[-1], 25.0)
-        power_now = planner._charger.delivered_at_mpp(
-            array_mpp(emf, res, current.starts)
-        )
-        nets = []
-        for config in candidates:
-            energy = planner._horizon_energy(config, horizon_rows, 25.0)
-            overhead = planner._overhead.event_energy_j(
-                power_w=max(power_now, 0.0),
-                compute_time_s=2.0e-3,
-                toggles=current.switch_toggles_to(config),
-            )
-            nets.append((energy - overhead, energy, overhead, config))
-        best = max(nets, key=lambda item: item[0])
-        assert decision.candidate == best[3]
-        assert decision.energy_new_j == pytest.approx(best[1], rel=1e-12)
-        assert decision.energy_overhead_j == pytest.approx(best[2], rel=1e-12)
-        assert decision.switch == (energy_old <= best[0])
+        assert not np.array_equal(planner.predictor._stream, streamed)
 
     def test_first_epoch_adopts_best_instantaneous(self):
+        """With nothing to keep, the epoch adopts INOR's proposal: the
+        window's best delivered power right now, free of charge."""
         planner = make_planner()
         history = steady_history()
         n = history.shape[1]
-        proposal = planner.plan(history, 25.0, current=None).config
-        decision = planner.plan_batch(
-            history,
-            25.0,
-            current=None,
-            candidates=[ArrayConfiguration.all_parallel(n), proposal],
-        )
+        decision = planner.plan(history, 25.0, current=None)
+        emf, res = thevenin_from_temps(TGM_199_1_4_0_8, history[-1], 25.0)
+        proposal = inor(emf, res, charger=planner._charger)
         assert decision.switch
-        assert decision.config == proposal  # beats all-parallel now
-
-    def test_rejects_empty_candidate_list(self):
-        planner = make_planner()
-        with pytest.raises(ConfigurationError):
-            planner.plan_batch(steady_history(), 25.0, None, candidates=[])
+        assert decision.config == decision.candidate == proposal.config
+        all_parallel = ArrayConfiguration.all_parallel(n)
+        assert proposal.delivered_power_w > planner._charger.delivered_at_mpp(
+            array_mpp(emf, res, all_parallel.starts)
+        )
+        assert (decision.energy_old_j, decision.energy_new_j) == (0.0, 0.0)
+        assert decision.energy_overhead_j == 0.0
+        assert decision.predict_seconds == 0.0
 
 
 class TestFitModuleStride:
@@ -432,8 +364,6 @@ class TestDnorStack:
         ]
 
     def test_stack_matches_per_lane_plan_over_epochs(self):
-        from repro.core.dnor import dnor_stack
-
         serial = self._planners()
         stacked = self._planners()
         histories = self._lane_histories()
@@ -443,16 +373,10 @@ class TestDnorStack:
         for epoch in range(3):
             rows = 40 + 10 * epoch
             hists = [h[:rows] for h in histories]
-            decisions = dnor_stack(
-                stacked, hists, ambients, stacked_currents,
-                time_s=float(epoch),
-            )
+            decisions = dnor_stack(stacked, hists, ambients, stacked_currents)
             for k in range(self.N_LANES):
                 want = serial[k].plan(
-                    hists[k],
-                    float(ambients[k]),
-                    serial_currents[k],
-                    time_s=float(epoch),
+                    hists[k], float(ambients[k]), serial_currents[k]
                 )
                 got = decisions[k]
                 label = f"epoch {epoch} lane {k}"
@@ -471,14 +395,18 @@ class TestDnorStack:
                 stacked_currents[k] = got.config
 
     def test_requires_nominal_compute(self):
-        from repro.core.dnor import dnor_stack
-
+        """Measured compute bills a lane's share of the fused INOR pass,
+        which only a one-lane epoch (plan) makes per-lane wall-clock."""
+        planners = [make_planner(nominal_compute_s=1.0e-3), make_planner()]
         with pytest.raises(ConfigurationError, match="nominal_compute_s"):
-            dnor_stack([make_planner()], [steady_history()], 25.0, [None])
+            dnor_stack(
+                planners,
+                [steady_history(), steady_history()],
+                25.0,
+                [None, None],
+            )
 
     def test_rejects_heterogeneous_lanes(self):
-        from repro.core.dnor import dnor_stack
-
         planners = [
             make_planner(nominal_compute_s=1.0e-3),
             make_planner(tp_seconds=2.0, nominal_compute_s=1.0e-3),
@@ -491,16 +419,117 @@ class TestDnorStack:
                 [None, None],
             )
 
-    def test_rejects_scalar_kernel(self):
-        from repro.core.dnor import dnor_stack
+    def test_keep_is_free_with_ndarray_built_currents(self):
+        """Every lane's keep test is a scalar truth value even when its
+        current configuration was built from a raw int64 ndarray."""
+        planners = self._planners()[:2]
+        histories = self._lane_histories()[:2]
+        first = dnor_stack(planners, histories, 25.0, [None, None])
+        currents = [
+            ArrayConfiguration(
+                starts=np.asarray(d.config.starts, dtype=np.int64),
+                n_modules=d.config.n_modules,
+            )
+            for d in first
+        ]
+        for decision, current in zip(
+            dnor_stack(planners, histories, 25.0, currents), currents
+        ):
+            assert not decision.switch
+            assert decision.config == current
+            assert decision.energy_overhead_j == 0.0
+            assert decision.predict_seconds == 0.0
 
-        planner = DNORPlanner(
-            module=TGM_199_1_4_0_8,
-            charger=TEGCharger(),
-            overhead=SwitchingOverheadModel(),
-            predictor=MLRPredictor(lags=4, train_window=120),
-            nominal_compute_s=1.0e-3,
-            inor_kernel="scalar",
+
+class TestDnorStackRefusesBeforeMutating:
+    """A malformed stacked call is refused with ConfigurationError
+    before any lane's predictor stream absorbs a row."""
+
+    def _streamed_lanes(self):
+        planners = [
+            make_planner(nominal_compute_s=1.0e-3, refit="incremental")
+            for _ in range(2)
+        ]
+        histories = [steady_history(40), steady_history(40, level=50.0)]
+        dnor_stack(planners, histories, 25.0, [None, None], new_rows=[40, 40])
+        snapshots = [p.predictor._stream.copy() for p in planners]
+        grown = [np.vstack([h, h[-4:]]) for h in histories]
+        return planners, grown, snapshots
+
+    def _assert_refused(self, match, planners, snapshots, *args, new_rows):
+        with pytest.raises(ConfigurationError, match=match):
+            dnor_stack(planners, *args, new_rows=new_rows)
+        for planner, snapshot in zip(planners, snapshots):
+            assert np.array_equal(planner.predictor._stream, snapshot)
+
+    def test_short_new_rows(self):
+        planners, grown, snaps = self._streamed_lanes()
+        self._assert_refused(
+            "new_rows",
+            planners,
+            snaps,
+            grown,
+            25.0,
+            [None, None],
+            new_rows=[4],
         )
-        with pytest.raises(ConfigurationError, match="batched"):
-            dnor_stack([planner], [steady_history()], 25.0, [None])
+
+    def test_long_new_rows(self):
+        planners, grown, snaps = self._streamed_lanes()
+        self._assert_refused(
+            "new_rows",
+            planners,
+            snaps,
+            grown,
+            25.0,
+            [None, None],
+            new_rows=[4, 4, 4],
+        )
+
+    def test_ambient_vector_of_wrong_length(self):
+        planners, grown, snaps = self._streamed_lanes()
+        self._assert_refused(
+            "ambient_c",
+            planners,
+            snaps,
+            grown,
+            np.array([25.0, 25.0, 25.0]),
+            [None, None],
+            new_rows=[4, 4],
+        )
+
+    def test_histories_of_unequal_width(self):
+        planners, grown, snaps = self._streamed_lanes()
+        grown[1] = np.hstack([grown[1], grown[1][:, -1:]])
+        self._assert_refused(
+            "lane 1",
+            planners,
+            snaps,
+            grown,
+            25.0,
+            [None, None],
+            new_rows=[4, 4],
+        )
+
+    def test_accepted_call_streams_after_a_refusal(self):
+        """The refused call left the lanes exactly as a call that never
+        happened: the next valid epoch matches an untouched twin."""
+        planners, grown, snaps = self._streamed_lanes()
+        twins, _, _ = self._streamed_lanes()
+        self._assert_refused(
+            "new_rows",
+            planners,
+            snaps,
+            grown,
+            25.0,
+            [None, None],
+            new_rows=[4],
+        )
+        args = (grown, 25.0, [None, None])
+        got = dnor_stack(planners, *args, new_rows=[4, 4])
+        want = dnor_stack(twins, *args, new_rows=[4, 4])
+        assert [d.config for d in got] == [d.config for d in want]
+        for planner, twin in zip(planners, twins):
+            assert np.array_equal(
+                planner.predictor._stream, twin.predictor._stream
+            )

@@ -403,9 +403,6 @@ def _build_with_kernel(target, kernel):
     """Hand ``kernel`` to one of the layers that accept a kernel name."""
     from repro.cli import build_parser
     from repro.core.controller import PeriodicPolicy
-    from repro.core.dnor import DNORPlanner
-    from repro.core.overhead import SwitchingOverheadModel
-    from repro.prediction.mlr import MLRPredictor
     from repro.sim.scenario import Scenario, default_scenario
     from repro.teg.datasheet import TGM_199_1_4_0_8
 
@@ -413,14 +410,6 @@ def _build_with_kernel(target, kernel):
         inor(np.ones(4), np.ones(4), kernel=kernel)
     elif target == "PeriodicPolicy":
         PeriodicPolicy(TGM_199_1_4_0_8, kernel=kernel)
-    elif target == "DNORPlanner":
-        DNORPlanner(
-            TGM_199_1_4_0_8,
-            TEGCharger(),
-            SwitchingOverheadModel(),
-            MLRPredictor(lags=4, train_window=120),
-            inor_kernel=kernel,
-        )
     elif target == "Scenario.from_json_dict":
         data = default_scenario(duration_s=5.0, n_modules=9).to_json_dict()
         Scenario.from_json_dict({**data, "inor_kernel": kernel})
@@ -433,7 +422,6 @@ def _build_with_kernel(target, kernel):
     [
         "inor",
         "PeriodicPolicy",
-        "DNORPlanner",
         "Scenario.from_json_dict",
         "repro simulate --kernel",
     ],

@@ -264,25 +264,28 @@ class TestDecisionKernelParity:
                 assert batched == scalar
 
     def test_full_simulation_kernel_parity(self, scenarios):
-        """An end-to-end INOR + DNOR run with the scalar decision kernel
-        must be indistinguishable from the batched default."""
+        """An end-to-end INOR run with the scalar decision kernel must be
+        indistinguishable from the batched default.  DNOR ignores the
+        scenario kernel (it always proposes through the batched pass);
+        its proposal is pinned to inor() by test_core_dnor's
+        test_first_epoch_adopts_best_instantaneous and the inor_stack
+        parity tests below."""
         scenario = scenarios[("porter-ii", "noisy")]
         scalar_scenario = dataclasses.replace(scenario, inor_kernel="scalar")
-        for policy in ("INOR", "DNOR"):
-            batched = run_engine(scenario, policy, "batched")
-            scalar = run_engine(scalar_scenario, policy, "batched")
-            for field in SERIES_FIELDS + ("n_groups_series",):
-                assert np.array_equal(
-                    getattr(batched, field), getattr(scalar, field)
-                ), (policy, field)
-            assert batched.switch_times_s == scalar.switch_times_s
-            assert batched.switch_overhead_j == scalar.switch_overhead_j
+        batched = run_engine(scenario, "INOR", "batched")
+        scalar = run_engine(scalar_scenario, "INOR", "batched")
+        for field in SERIES_FIELDS + ("n_groups_series",):
+            assert np.array_equal(
+                getattr(batched, field), getattr(scalar, field)
+            ), field
+        assert batched.switch_times_s == scalar.switch_times_s
+        assert batched.switch_overhead_j == scalar.switch_overhead_j
 
 
 class TestDnorPlanBatchPin:
     """The stacked epoch decision must equal the decision rebuilt from
     sequential single-configuration horizon scoring on realistic
-    scenario histories (plan() delegates to plan_batch, so the
+    scenario histories (plan() is a one-lane dnor_stack, so the
     sequential reference is reconstructed from the scalar kernels)."""
 
     @pytest.mark.parametrize("name", SCENARIO_NAMES)

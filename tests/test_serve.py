@@ -83,6 +83,21 @@ class TestOnlineOfflineParity:
         assert session.pending_epochs
         assert not session.records
 
+    def test_scalar_kernel_dnor_is_micro_batched(self):
+        """DNOR always proposes through the batched INOR pass, so the
+        scenario's INOR kernel does not keep a DNOR session inline."""
+        scenario = dataclasses.replace(
+            build_named_scenario("porter-ii", duration_s=20.0, n_modules=9),
+            inor_kernel="scalar",
+        )
+        session = StreamSession(scenario, "DNOR", "scalar-dnor")
+        assert session.micro_batched
+        _assert_logs_equal(
+            _stream_through_hub(scenario, "DNOR", 7),
+            offline_decision_log(scenario, "DNOR"),
+            "scalar-kernel DNOR",
+        )
+
     def test_measured_compute_dnor_runs_inline(self):
         """Without nominal compute accounting there is no deterministic
         fused equivalent, so the session stays on the inline path."""

@@ -73,6 +73,21 @@ class TestFusableReason:
         reason = fusable_reason(_case(scenario, inor_kernel="scalar"))
         assert reason is not None and "scalar" in reason
 
+    def test_scalar_kernel_dnor_fuses(self, scenario):
+        """DNOR always proposes through the batched INOR pass; the
+        scalar-kernel fallback is INOR's alone."""
+        case = _case(scenario, policy="DNOR", inor_kernel="scalar")
+        assert fusable_reason(case) is None
+        cases = grid_cases(
+            [case.scenario], ["DNOR"], scanner_noise_std_k=[0.02, 0.08]
+        )
+        stacked = ExperimentRunner(cases, executor="gridstack").run()
+        serial = ExperimentRunner(cases, executor="serial").run()
+        for (_, r1), (_, r2) in zip(serial, stacked):
+            a, b = r1.delivered_power_w, r2.delivered_power_w
+            assert a.tobytes() == b.tobytes()
+            assert r1.overhead_events == r2.overhead_events
+
     def test_measured_compute_time_does_not_fuse(self, scenario):
         reason = fusable_reason(_case(scenario, nominal_compute_s=None))
         assert reason is not None and "compute" in reason
