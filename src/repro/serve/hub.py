@@ -24,8 +24,9 @@ lane), which keeps the stacked online log byte-equal to the inline
 one.
 
 Sessions stack only when their decision inputs are interchangeable —
-same module electrical identity, array size and converter curve
-(plus, for DNOR, the same horizon geometry).
+one :func:`~repro.sim.gridstack.stack_key`, the core of gridstack's
+fused-group key: same module electrical identity, array size and
+converter curve (plus, for DNOR, the same horizon geometry).
 Incompatible sessions still work; they just land in separate groups
 (each its own stacked pass).  Inline-policy sessions (EHTR, Baseline,
 scalar-kernel INOR, measured-compute DNOR) never queue pending work
@@ -43,6 +44,7 @@ from repro.core.dnor import dnor_stack
 from repro.core.inor import inor_stack
 from repro.errors import ConfigurationError
 from repro.serve.session import DecisionRecord, StreamSession
+from repro.sim.gridstack import stack_key
 
 __all__ = ["HubStats", "SessionHub"]
 
@@ -66,27 +68,6 @@ class HubStats:
             "max_rows_per_pass": self.max_rows_per_pass,
             "max_sessions_per_pass": self.max_sessions_per_pass,
         }
-
-
-def _stack_key(session: StreamSession) -> Tuple:
-    """Hashable stacking identity: one key, one stacked decision stream.
-
-    Shaped like :func:`repro.sim.gridstack._group_key`: policy, array
-    size, module electricals and converter, plus for DNOR the horizon
-    geometry ``(tp_seconds, dt_s)`` of the ``dnor_stack`` homogeneity
-    contract (DNOR always proposes through the batched INOR pass, so
-    the scenario's INOR kernel is not part of the key).
-    """
-    scenario = session.scenario
-    key: Tuple = (
-        session.policy_name,
-        int(scenario.n_modules),
-        scenario.module,
-        scenario.make_charger(with_battery=False).converter,
-    )
-    if session.policy_name == "DNOR":
-        key += (float(scenario.tp_seconds), float(scenario.trace.dt_s))
-    return key
 
 
 class SessionHub:
@@ -145,7 +126,9 @@ class SessionHub:
         groups: Dict[Tuple, List[StreamSession]] = {}
         for session in self._sessions.values():
             if session.pending or session.pending_epochs:
-                groups.setdefault(_stack_key(session), []).append(session)
+                groups.setdefault(
+                    stack_key(session.scenario, session.policy_name), []
+                ).append(session)
         self._stats.epochs += 1
         emitted: Dict[str, List[DecisionRecord]] = {}
         for key, members in groups.items():
@@ -170,10 +153,10 @@ class SessionHub:
     ) -> Dict[str, List[DecisionRecord]]:
         """Resolve the members' pending INOR rows in one stacked pass.
 
-        The members share one :func:`_stack_key`; their pending EMF rows
-        are concatenated in queue order, decided by one ``inor_stack``
-        call, and each row's winning configuration goes back to its
-        session.
+        The members share one :func:`~repro.sim.gridstack.stack_key`;
+        their pending EMF rows are concatenated in queue order, decided
+        by one ``inor_stack`` call, and each row's winning configuration
+        goes back to its session.
         """
         scenario = members[0].scenario
         emf_rows = np.vstack([p.emf_row for s in members for p in s.pending])

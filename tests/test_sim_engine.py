@@ -11,10 +11,12 @@ Covers the three layers introduced by the batch-engine refactor:
 """
 
 import dataclasses
+import types
 
 import numpy as np
 import pytest
 
+from repro.core.controller import ReconfigurationPolicy
 from repro.errors import ConfigurationError, SimulationError
 from repro.power.charger import TEGCharger
 from repro.power.converter import BuckBoostConverter
@@ -33,8 +35,9 @@ from repro.sim.scenario import (
     default_scenario,
     fault_injected_trace,
 )
-from repro.sim.simulator import HarvestSimulator
+from repro.sim.simulator import ENGINES, HarvestSimulator
 from repro.teg.array import TEGArray
+from repro.teg.switches import SWITCHES_PER_JUNCTION_FLIP
 
 
 @pytest.fixture(scope="module")
@@ -396,6 +399,111 @@ class TestExperimentRunnerEquivalence:
         a, b = run_once(), run_once()
         assert np.array_equal(a.delivered_power_w, b.delivered_power_w)
         assert a.switch_overhead_j == b.switch_overhead_j
+
+
+class _ScriptedPolicy(ReconfigurationPolicy):
+    """Replays a fixed script of decisions, one per sample, then keeps.
+
+    Entries are ``None`` (keep the current wiring) or group-start
+    tuples, handed out as bare ``starts`` carriers so that invalid
+    vectors reach the simulator unvalidated.
+    """
+
+    def __init__(self, script):
+        self._script = list(script)
+        self._calls = 0
+
+    @property
+    def name(self):
+        return "Scripted"
+
+    def decide(self, time_s, module_temps_c, ambient_c):
+        step = self._calls
+        self._calls += 1
+        if step >= len(self._script) or self._script[step] is None:
+            return None
+        return types.SimpleNamespace(starts=self._script[step])
+
+    def reset(self):
+        self._calls = 0
+
+
+def _bills(result):
+    return [
+        (e.time_s, e.toggles, e.compute_time_s) for e in result.overhead_events
+    ]
+
+
+class TestSwitchingLedger:
+    """The one commissioning and billing rule, seen through ``run``."""
+
+    def _simulator(self, scenario, engine="batched", nominal_compute_s=1.0e-3):
+        return HarvestSimulator(
+            trace=scenario.trace,
+            boundary=scenario.boundary,
+            module=scenario.module,
+            n_modules=scenario.n_modules,
+            overhead=scenario.overhead,
+            scanner=scenario.make_scanner(),
+            nominal_compute_s=nominal_compute_s,
+            engine=engine,
+        )
+
+    def test_late_first_decision_is_free_commissioning(self, scenario):
+        n = scenario.n_modules
+        grid = tuple(range(0, n, 5))
+        # Keep the power-up wiring for five samples; then commission a
+        # grid, repeat it (billed, zero toggles), and move twice.
+        script = [None] * 5 + [grid, None, grid, (0, 10), None, grid]
+        results = {
+            engine: self._simulator(scenario, engine).run(
+                _ScriptedPolicy(script), scenario.make_charger()
+            )
+            for engine in ENGINES
+        }
+        batched, reference = results["batched"], results["reference"]
+        # The reference loop's thermal chain is scalar libm, so the
+        # series agree to ULPs; the switching record agrees exactly.
+        for field in SERIES_FIELDS:
+            np.testing.assert_allclose(
+                getattr(batched, field), getattr(reference, field),
+                rtol=1e-9, atol=1e-9, err_msg=field,
+            )
+        assert np.array_equal(batched.n_groups_series, reference.n_groups_series)
+        assert batched.switch_times_s == reference.switch_times_s
+        assert _bills(batched) == _bills(reference)
+        assert np.all(batched.n_groups_series[:5] == n)
+        assert np.all(batched.n_groups_series[5:7] == len(grid))
+        time_s = scenario.trace.time_s
+        # The first decision (sample 5) bills nothing; each later one does.
+        assert batched.switch_times_s == tuple(
+            float(time_s[i]) for i in (7, 8, 10)
+        )
+        assert [e.toggles for e in batched.overhead_events] == [
+            0,
+            SWITCHES_PER_JUNCTION_FLIP * (len(grid) - 2),
+            SWITCHES_PER_JUNCTION_FLIP * (len(grid) - 2),
+        ]
+
+    def test_measured_compute_time_is_billed(self, scenario):
+        result = self._simulator(scenario, nominal_compute_s=None).run(
+            scenario.make_inor_policy(), scenario.make_charger()
+        )
+        assert result.overhead_events
+        index = {float(t): i for i, t in enumerate(result.time_s)}
+        for event in result.overhead_events:
+            assert event.compute_time_s == result.runtime_s[index[event.time_s]]
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize(
+        "starts", [(1, 3), (0, 25), (0, 5, 3)], ids=["no-zero", "range", "order"]
+    )
+    def test_invalid_policy_output_is_refused(self, scenario, engine, starts):
+        simulator = self._simulator(scenario, engine)
+        with pytest.raises(ConfigurationError):
+            simulator.run(
+                _ScriptedPolicy([None, starts]), scenario.make_charger()
+            )
 
 
 class TestBatchedPowerMath:
