@@ -88,6 +88,11 @@ INOR_KERNELS = ("batched", "scalar")
 #: charger's preferred input window at this drop (Section III-B).
 WINDOW_EFFICIENCY_DROP = 0.03
 
+#: Relative slack on the dead-epoch power bound of
+#: :func:`_proven_dead`, covering the rounding of both the bound and
+#: the candidates' computed MPP powers.
+DEAD_BOUND_MARGIN = 1.0e-6
+
 
 def check_inor_kernel(kernel: str) -> str:
     """Return ``kernel`` if it is one of :data:`INOR_KERNELS`, else raise."""
@@ -114,7 +119,10 @@ class InorResult:
     n_range:
         The ``(n_min, n_max)`` window that was scanned.
     candidates_evaluated:
-        Number of group counts evaluated.
+        Number of group counts ruled on: the whole window,
+        ``n_max - n_min + 1``, whether each candidate was built and
+        scored or proven to deliver nothing (see
+        :func:`_inor_stack_raw`).
     """
 
     config: ArrayConfiguration
@@ -303,6 +311,53 @@ def converter_aware_group_range_rows(
     return np.minimum(n_mins, n_maxs), n_maxs
 
 
+def _proven_dead(
+    emf_rows: np.ndarray,
+    mpp_current_rows: np.ndarray,
+    resistance: np.ndarray,
+    converter,
+) -> Optional[np.ndarray]:
+    """Cases on which every candidate provably delivers exactly 0.0 W.
+
+    A series-parallel array cannot beat its modules' separate maxima:
+    by Cauchy-Schwarz, once within each parallel group and once across
+    the series groups, every configuration's MPP power is at most
+    ``B = sum(E_i^2 / (4 R_i)) = sum(E_i I_i) / 2`` with ``I_i`` the
+    module MPP currents (for positive resistances).  The converter's
+    efficiency never exceeds ``peak_efficiency``, and it is
+    ``floor_efficiency`` on every candidate when no EMF is positive
+    (every MPP voltage is then ``<= 0``).  Every score is
+    ``max(p * eta - quiescent, 0)``, or 0 for ``p <= 0``, so a case
+    with ``B * (1 + margin) * eta < quiescent`` scores 0.0 everywhere.
+
+    The margin :data:`DEAD_BOUND_MARGIN` (``1e-6``) covers rounding.
+    Every quantity in the argument is a sum or product of non-negative
+    terms once EMFs are replaced by their magnitudes, so a computed MPP
+    power exceeds ``B`` by at most a relative ``~3 N u`` (``u = 2^-53``:
+    the sequential group sums, the series sums and the few products
+    and quotients), and the computed ``B`` falls short of it by at most
+    ``~(N + 4) u``.  ``1e-6`` covers both with room to spare for any
+    chain below 10^9 modules; as float products and quotients are
+    monotone, ``fl(p * eta) <= quiescent`` follows.  Bounds that cannot
+    be formed (NaN or infinite EMFs) never prove a case, nor does a
+    zero quiescent power (the test is strict), nor a non-positive
+    resistance.  The floor-efficiency test, the weaker bound, runs
+    first: a stack it proves nothing on returns ``None`` after a
+    handful of array calls.
+    """
+    quiescent = converter.quiescent_power_w
+    scale = 0.5 * (1.0 + DEAD_BOUND_MARGIN)
+    bound = (emf_rows * mpp_current_rows).sum(axis=1)
+    dead = bound * (scale * converter.floor_efficiency) < quiescent
+    if not dead.any() or not resistance.min() > 0.0:
+        return None
+    # The floor bounds the efficiency only where no EMF is positive.
+    dead &= (emf_rows.max(axis=1) <= 0.0) | (
+        bound * (scale * converter.peak_efficiency) < quiescent
+    )
+    return dead
+
+
 def _inor_stack_raw(
     emf_rows: np.ndarray,
     resistance: np.ndarray,
@@ -320,6 +375,15 @@ def _inor_stack_raw(
     per-case result-object packaging in its hot loop.  ``n_mins`` /
     ``n_maxs`` are the per-case group-count windows, derived from the
     charger by :func:`converter_aware_group_range_rows` when omitted.
+
+    With a charger, a case :func:`_proven_dead` proves delivers 0.0 W
+    on every candidate is built and scored on ``[n_min, n_min]``: the
+    first-maximum rule picks ``n_min`` from an all-zero window, and a
+    candidate's partition and MPP do not depend on the rest of the
+    window, so winner, MPP and score are bit-identical to the full
+    pass.  The stack then holds that one candidate for the case;
+    ``n_mins`` / ``n_maxs`` still report the whole window.
+
     Returns ``(stack, power, voltage, current, scores, winners,
     n_mins, n_maxs)`` with ``winners[c]`` the stacked index of case
     ``c``'s first-maximum candidate.
@@ -329,9 +393,15 @@ def _inor_stack_raw(
         n_mins, n_maxs = converter_aware_group_range_rows(
             emf_rows, n_modules, charger
         )
-
     mpp_current_rows = emf_rows / (2.0 * resistance)
-    stack = partition_multi_stack(mpp_current_rows, n_mins, n_maxs)
+    n_builds = n_maxs
+    if charger is not None:
+        dead = _proven_dead(
+            emf_rows, mpp_current_rows, resistance, charger.converter
+        )
+        if dead is not None:
+            n_builds = np.where(dead, n_mins, n_maxs)
+    stack = partition_multi_stack(mpp_current_rows, n_mins, n_builds)
     power, voltage, current = array_mpp_multi_stack(
         emf_rows, resistance, stack
     )
@@ -390,9 +460,9 @@ def inor_stack(
 def _winner_config(stack: PartitionStack, best: int) -> ArrayConfiguration:
     """The configuration of stacked candidate ``best``."""
     lo, hi = stack.offsets[best], stack.offsets[best + 1]
+    # tolist() hands over plain ints, ArrayConfiguration's fast path.
     return ArrayConfiguration(
-        starts=tuple(int(s) for s in stack.cat[lo:hi]),
-        n_modules=stack.n_modules,
+        starts=tuple(stack.cat[lo:hi].tolist()), n_modules=stack.n_modules
     )
 
 
@@ -410,7 +480,5 @@ def _inor_result(raw: tuple, case: int) -> InorResult:
         ),
         delivered_power_w=float(scores[best]),
         n_range=(int(n_mins[case]), int(n_maxs[case])),
-        candidates_evaluated=int(
-            stack.case_offsets[case + 1] - stack.case_offsets[case]
-        ),
+        candidates_evaluated=int(n_maxs[case] - n_mins[case] + 1),
     )

@@ -18,7 +18,8 @@ inside it:
     ``os.rename`` is atomic on POSIX and NFS, so exactly one claimant
     wins — then stamps the lease with its identity, claim time and
     TTL.  A lease that outlives its TTL (crashed or wedged worker) is
-    renamed back into ``pending/`` by whichever worker notices first.
+    re-queued as a fresh, stamp-free ticket in ``pending/`` by
+    whichever worker notices first.
     Work items come in two sizes: ``case-*`` tickets carry one case
     through :func:`~repro.sim.engine.run_case`, and ``group-*``
     tickets carry a whole *fused group* — cases the manifest grouped
@@ -282,6 +283,18 @@ class ShardStatus:
         return [f"fused: {info.describe()}" for info in self.fused_groups]
 
 
+def _write_ticket(paths: _ShardPaths, item_id: str) -> None:
+    """Queue ``item_id`` as a fresh, stamp-free pending ticket.
+
+    A re-queued item gets a new ticket rather than its old lease file:
+    a renamed lease would carry the previous claimant's ``claimed_at``
+    and ``lease_ttl_s``, so until the next claimant's own stamp landed
+    its lease would look expired and could be re-queued under it.
+    """
+    key = "group_id" if item_id.startswith("group-") else "case_id"
+    _write_json_atomic(paths.ticket(item_id), {key: item_id})
+
+
 def _case_id(index: int) -> str:
     return f"case-{index:05d}"
 
@@ -433,13 +446,13 @@ def init_shard(
             continue
         if paths.lease(group_id).exists() or paths.ticket(group_id).exists():
             continue
-        _write_json_atomic(paths.ticket(group_id), {"group_id": group_id})
+        _write_ticket(paths, group_id)
     for case_id in manifest.case_ids:
         if case_id in grouped or paths.case_done(case_id):
             continue
         if paths.lease(case_id).exists() or paths.ticket(case_id).exists():
             continue
-        _write_json_atomic(paths.ticket(case_id), {"case_id": case_id})
+        _write_ticket(paths, case_id)
 
     if warm:
         cache = PhysicsCache(cache_dir=manifest.cache_dir)
@@ -574,8 +587,10 @@ def _requeue_expired(
     Another worker may re-queue a lease and claim the item afresh
     between this judgement and the move, so the lease is renamed aside
     under a unique name and judged again there; a live one goes back
-    untouched.  (A crash between those renames leaves the item for the
-    ``init`` resume path to re-queue.)
+    untouched.  An expired one is re-queued as a fresh ticket
+    (:func:`_write_ticket`) before the held file is dropped.  (A crash
+    between the rename aside and the new ticket leaves the item for
+    the ``init`` resume path to re-queue.)
     """
     now = time.time() if now is None else now
     if default_ttl_s is None:
@@ -595,7 +610,8 @@ def _requeue_expired(
         except OSError:
             continue  # another worker re-queued or the owner finished
         if _lease_expired(held, now, default_ttl_s):
-            os.rename(held, paths.ticket(item_id))
+            _write_ticket(paths, item_id)
+            held.unlink(missing_ok=True)
             moved += 1
         else:
             os.rename(held, lease)  # re-claimed meanwhile: a live lease
@@ -765,10 +781,10 @@ def work_shard(
             # waiting out the lease TTL is for *crashed* workers, and
             # holding the lease here would stall the work (and every
             # 'shard work' retry) for the full TTL for no reason.
-            try:
-                os.rename(paths.lease(item_id), paths.ticket(item_id))
-            except OSError:
-                pass  # lease already expired/re-queued by someone else
+            lease = paths.lease(item_id)
+            if lease.exists():  # else expired and re-queued by someone else
+                _write_ticket(paths, item_id)
+                lease.unlink(missing_ok=True)
             raise
         release_case(paths.root, item_id)
         completed.extend(finished)

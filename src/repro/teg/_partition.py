@@ -4,7 +4,8 @@ The build of :func:`repro.teg.network.partition_multi_stack` decomposes
 into three array passes — the cumulative-current **prefix table**, the
 row-wise searchsorted **next-cut map** (with the walk's tie rule and
 flat-run extension), and the **binary-lifting** iteration of that map —
-over one cached **candidate layout** of the group-count windows.
+over one cached **candidate layout** of the group-count windows; the
+lifted cuts and the back-biased walk's share one **tail clamp**.
 The expression trees here are the ones the scalar walk's cuts are pinned
 against: only the prefix table and the tie-rule comparison touch
 floating point; the next-cut binary search and the lifting gathers are
@@ -47,8 +48,8 @@ class StackLayout(NamedTuple):
 
     Per candidate, case after case: its group count, its boundaries
     into the flat cuts, its owning case; per case, its candidate
-    boundaries (also as the int ``runs`` of ``case_of_candidate``); and
-    the ``(candidates, widest count)`` mask of each candidate's cuts.
+    boundaries; and the ``(candidates, widest count)`` mask of each
+    candidate's cuts.
     """
 
     counts: np.ndarray
@@ -56,7 +57,6 @@ class StackLayout(NamedTuple):
     case_of_candidate: np.ndarray
     case_offsets: np.ndarray
     ragged_mask: np.ndarray
-    runs: Tuple[int, ...]
 
 
 @lru_cache(maxsize=64)
@@ -92,7 +92,6 @@ def stack_layout(
         case_of_candidate=case_of_candidate,
         case_offsets=case_offsets,
         ragged_mask=ragged_mask,
-        runs=tuple(case_offsets.tolist()),
     )
 
 
@@ -152,7 +151,6 @@ def next_cut_map(
     row_of: np.ndarray,
     ideals: np.ndarray,
     flat_rows: np.ndarray,
-    runs: Optional[Sequence[int]] = None,
 ) -> np.ndarray:
     """The pure next-cut map, all lanes x all positions.
 
@@ -164,16 +162,13 @@ def next_cut_map(
     the bracketing searchsorted bound, the walk's lower-cut-wins tie
     rule, the one-module-per-group floor and the saturation clamp at
     ``N``, plus the flat-run extension through equal prefix values.
-    ``runs`` are ``row_of``'s run boundaries, when already known (see
-    :func:`searchsorted_rows_right`).
     """
     n_modules = prefix_rows.shape[1] - 1
     # targets[k, c] = P[c] + I_ideal_k; bound = first prefix entry
     # strictly above it, so (bound-1, bound) bracket the target.
     targets = prefix_rows[row_of]
     targets += ideals[:, None]
-    if runs is None:
-        runs = _row_runs(row_of)
+    runs = _row_runs(row_of)
     bound = searchsorted_rows_right(prefix_rows, row_of, targets, runs)
     # Walk tie rule via the bracket midpoint: the lower cut wins only
     # on strictly smaller error, i.e. P[bound] + P[bound-1] > 2*target.
@@ -212,9 +207,8 @@ def lift_cuts(
     ``cuts[k, j] = nxt_k^j(0)``; column ``j`` is assembled from the
     powers ``nxt^(2^b)`` selected by ``j``'s bits (composition of
     powers commutes).  Gathers run on the flattened map with per-lane
-    row offsets — a direct C-level take.  The trailing clamp
-    ``min(cut_j, N - n + j)`` keeps every remaining group non-empty;
-    the map's monotonicity makes it equivalent to clamping per step.
+    row offsets — a direct C-level take.  The iterates then take the
+    trailing clamp of :func:`clamp_tail`.
     """
     n_lanes = next_map.shape[0]
     n_modules = next_map.shape[1] - 1
@@ -228,9 +222,23 @@ def lift_cuts(
         if step + 1 < len(lift_plan):
             doubling = flat[doubling + row_base]
             flat = doubling.reshape(-1)
+    return clamp_tail(cuts, counts, n_modules)
+
+
+def clamp_tail(cuts: np.ndarray, counts: np.ndarray, n_modules: int) -> np.ndarray:
+    """The trailing clamp ``min(cut_j, N - n + j)``, in place.
+
+    ``cuts`` holds unclamped greedy cuts, lane ``k`` building a
+    ``counts[k]``-group partition (a cut never made reads ``N``).  The
+    walk clamps each cut so every later group keeps a module; clamping
+    the finished cuts is exact because each step advances at least one
+    module (saturating at ``N``): before the clamp binds the walks
+    coincide, and once it binds at ``j`` every later cut is forced to
+    ``N - n + j'``, which no unclamped cut undercuts.
+    """
     np.minimum(
         cuts,
-        (n_modules - counts)[:, None] + _index_arange(n_lift)[None, :],
+        (n_modules - counts)[:, None] + _index_arange(cuts.shape[1])[None, :],
         out=cuts,
     )
     return cuts

@@ -43,6 +43,7 @@ from repro.errors import ConfigurationError
 from repro.teg._pairwise import segmented_pairwise_sum
 from repro.teg._partition import (
     _index_arange,
+    clamp_tail,
     lift_cuts,
     next_cut_map,
     prefix_table,
@@ -139,7 +140,8 @@ def greedy_balanced_partition(mpp_currents: np.ndarray, n_groups: int) -> np.nda
       stop-at-first-error-increase behaviour is the reference there;
       :func:`partition_multi` and :func:`partition_multi_stack` run it
       for every candidate at once as lockstep lanes, with the same
-      per-lane operation sequence.
+      per-lane operation sequence, and clamp the finished cuts once
+      (:func:`~repro.teg._partition.clamp_tail`).
 
     Returns
     -------
@@ -249,16 +251,16 @@ def _accumulation_walk_rows(
     module, so at step ``i`` every lane examines module ``i`` and the
     walks run as one branch-free pass over the module axis of an
     ``(N, lanes)`` column matrix.  Per step, every lane at once either
-    extends (``group_sum + c``, kept while the error does not rise and
-    the tail clamp ``i < N - n + slot`` leaves room) or closes its
-    group at ``i`` and re-seeds it with ``c``.  Each lane performs the
-    IEEE operations of :func:`_greedy_accumulation_walk` in the same
-    order, so every cut index is bit-identical to the scalar walk on
-    its row; a NaN error compares false and closes the group, as
-    there.
+    extends (``group_sum + c``, kept while the error does not rise) or
+    closes its group at ``i`` and re-seeds it with ``c``, performing
+    the IEEE operations of :func:`_greedy_accumulation_walk` in the
+    same order; a NaN error compares false and closes the group, as
+    there.  The walks run unclamped and take the trailing clamp of
+    :func:`~repro.teg._partition.clamp_tail` once at the end, so every
+    cut is bit-identical to the scalar walk's.
 
-    Returns the flat cuts, lane after lane: ``counts[k]`` ascending
-    group starts per lane, the leading zero included.
+    Returns the ``(lanes, max(counts))`` cut matrix: lane ``k``'s
+    ``counts[k]`` group starts (leading zero included), then padding.
     """
     n_modules = currents_rows.shape[1]
     # columns[i, k]: module i's current on lane k's row.
@@ -267,26 +269,27 @@ def _accumulation_walk_rows(
     ideals = currents_rows.sum(axis=1)[row_of] / counts
     # A group seeded at module i starts with error |c_i - ideal|.
     seed_err = np.abs(columns - ideals)
-    # closes[i, k]: lane k starts a group at module i (module 0 always).
-    closes = np.empty(columns.shape, dtype=bool)
-    closes[0] = True
+    # grows[i, k]: lane k extends its group over module i.
+    grows = np.empty(columns.shape, dtype=bool)
+    grows[0] = False
     group_sum = columns[0]
     best_err = seed_err[0]
-    # The tail clamp: a lane may extend at step i only while
-    # i < N - n + slot, and every close fills one more slot.
-    limit = n_modules - counts + 1
     for i in range(1, n_modules):
         current = columns[i]
         extended = group_sum + current
         err = np.abs(extended - ideals)
-        grow = (err <= best_err) & (i < limit)
+        grow = np.less_equal(err, best_err, out=grows[i])
         group_sum = np.where(grow, extended, current)
         best_err = np.where(grow, err, seed_err[i])
-        np.logical_not(grow, out=closes[i])
-        limit += closes[i]
-    # A finished lane walks on; its first counts[k] closes are its cuts.
+    # Lane k's cuts are its first counts[k] closes; a walk that ran out
+    # of modules first leaves N.
+    closes = ~grows
     closes &= np.cumsum(closes, axis=0) <= counts
-    return np.nonzero(closes.T)[1]
+    width = int(counts.max())
+    cuts = np.full((counts.size, width), n_modules, dtype=np.int64)
+    made = _index_arange(width)[None, :] < closes.sum(axis=0)[:, None]
+    cuts[made] = np.nonzero(closes.T)[1]
+    return clamp_tail(cuts, counts, n_modules)
 
 
 @dataclass(frozen=True)
@@ -441,16 +444,17 @@ def partition_multi_stack(
 
     ``mpp_current_rows`` is a ``(C, N)`` matrix of per-case MPP
     currents and ``n_min`` / ``n_max`` per-case group-count windows
-    (scalars broadcast).  The array passes of
-    :mod:`repro.teg._partition` — cached candidate layout, prefix
-    table, next-cut map, binary lifting and tail clamp — run across
-    every candidate of every case at once.  Cases containing
-    back-biased modules (negative or NaN currents) take the
-    accumulation-walk reference instead, every candidate one lane of
-    :func:`_accumulation_walk_rows`.  Cut indices are
-    **bit-identical** per case to :func:`greedy_balanced_partition`
-    for every group count in the case's window (pinned in the parity
-    suite).
+    (scalars broadcast).  Every candidate of every case is one lane of
+    one ``(lanes, widest count)`` cut matrix, filled per branch: lanes
+    of cases with non-negative currents by the array passes of
+    :mod:`repro.teg._partition` (prefix table, next-cut map, binary
+    lifting), lanes of cases with back-biased modules (negative or NaN
+    currents) by the lockstep walk :func:`_accumulation_walk_rows`,
+    both ending in the same tail clamp.  One-group lanes need neither:
+    their only cut is 0.  One ragged gather flattens the matrix.  Cut
+    indices are **bit-identical** per case to
+    :func:`greedy_balanced_partition` for every group count in the
+    case's window (pinned in the parity suite).
     """
     rows = np.asarray(mpp_current_rows, dtype=float)
     if rows.ndim != 2 or rows.size == 0:
@@ -472,49 +476,32 @@ def partition_multi_stack(
         layout.case_of_candidate, layout.counts, layout.ragged_mask
     )
 
+    cuts = np.zeros(mask.shape, dtype=np.int64)
     lowest_rows = rows.min(axis=1)
-    monotone_rows = lowest_rows >= 0.0  # False for negatives and NaN
-    n_monotone = np.count_nonzero(monotone_rows)
-    if n_monotone == 0:
-        # Every case back-biased: the walk lanes emit the flat cuts in
-        # candidate order directly.
-        cat = _accumulation_walk_rows(rows, case_of_cand, counts)
-    else:
-        # The build stages: prefix construction, the next-cut map
-        # (bracketing search + tie rule + flat-run extension) and the
-        # lifting iteration.  ndarray.sum feeds the ideals — the prefix
-        # tail would not match the scalar walk (cumsum accumulates
-        # sequentially, sum pairwise).
-        prefix_rows = prefix_table(rows)
-        sums = rows.sum(axis=1)
-        flat_rows = lowest_rows == 0.0
-        if n_monotone == n_cases:
-            nxt = next_cut_map(
-                prefix_rows,
-                case_of_cand,
-                sums[case_of_cand] / counts,
-                flat_rows,
-                layout.runs,
-            )
-            cuts = lift_cuts(nxt, counts, mask.shape[1])
-        else:
-            cuts = np.zeros(mask.shape, dtype=np.int64)
-            walk_cand = ~monotone_rows[case_of_cand]
-            pos_sel = np.flatnonzero(~walk_cand)
-            row_of = case_of_cand[pos_sel]
-            nxt = next_cut_map(
-                prefix_rows, row_of, sums[row_of] / counts[pos_sel], flat_rows
-            )
-            cuts[pos_sel] = lift_cuts(nxt, counts[pos_sel], mask.shape[1])
-            # Back-biased cases: one lockstep walk advances every
-            # affected candidate of every such case together.
-            cuts[mask & walk_cand[:, None]] = _accumulation_walk_rows(
-                rows, case_of_cand[walk_cand], counts[walk_cand]
-            )
-        cat = cuts[mask]
+    multi = counts > 1
+    monotone = (lowest_rows >= 0.0)[case_of_cand]  # False: negatives or NaN
+    prefix_sel = np.flatnonzero(multi & monotone)
+    walk_sel = np.flatnonzero(multi & ~monotone)
+    if prefix_sel.size:
+        # ndarray.sum feeds the ideals — the prefix tail would not
+        # match the scalar walk (cumsum accumulates sequentially, sum
+        # pairwise).
+        row_of = case_of_cand[prefix_sel]
+        nxt = next_cut_map(
+            prefix_table(rows),
+            row_of,
+            rows.sum(axis=1)[row_of] / counts[prefix_sel],
+            lowest_rows == 0.0,
+        )
+        cuts[prefix_sel] = lift_cuts(nxt, counts[prefix_sel], mask.shape[1])
+    if walk_sel.size:
+        walked = _accumulation_walk_rows(
+            rows, case_of_cand[walk_sel], counts[walk_sel]
+        )
+        cuts[walk_sel, : walked.shape[1]] = walked
 
     return PartitionStack(
-        cat=cat,
+        cat=cuts[mask],
         offsets=layout.offsets,
         case_of_candidate=case_of_cand,
         case_offsets=layout.case_offsets,

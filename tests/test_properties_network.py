@@ -125,3 +125,46 @@ class TestTheveninProperties:
             starts = list(range(0, n, size))
             p = network.array_mpp(uniform_emf, uniform_res, starts).power_w
             assert np.isclose(p, p_ref, rtol=1e-9)
+
+
+@st.composite
+def near_zero_stack(draw):
+    """A stack of current rows near zero current, one window each.
+
+    Each module draws from signed zeros, sub-milliamp currents of both
+    signs and a few larger ones, so some rows are non-negative (the
+    prefix-map branch, flat zero runs included) and others hold a
+    back-biased module (the walk branch).  Every window starts at one
+    group, so each row also has a one-group lane.
+    """
+    n = draw(st.integers(min_value=2, max_value=28))
+    k = draw(st.integers(min_value=1, max_value=6))
+    values = st.sampled_from([0.0, -0.0, 1e-4, -1e-4, 3e-4, -2e-5, 0.02])
+    rows = np.asarray(
+        draw(
+            st.lists(
+                st.lists(values, min_size=n, max_size=n), min_size=k, max_size=k
+            )
+        )
+    )
+    n_max = np.asarray(
+        draw(st.lists(st.integers(1, n), min_size=k, max_size=k)), dtype=np.int64
+    )
+    return rows, n_max
+
+
+class TestPartitionBranchesNearZeroCurrent:
+    @given(near_zero_stack())
+    @settings(max_examples=200, deadline=None)
+    def test_mixed_stack_pinned_to_scalar(self, case):
+        """Rows flip between the prefix map and the walk at zero
+        current; every lane of the mixed stack is the scalar oracle's
+        partition, bit for bit."""
+        rows, n_max = case
+        stack = network.partition_multi_stack(rows, 1, n_max)
+        for c, row in enumerate(rows):
+            case_set = stack.case(c)
+            assert len(case_set) == n_max[c]
+            for k, n_groups in enumerate(range(1, n_max[c] + 1)):
+                want = network.greedy_balanced_partition(row, n_groups)
+                assert np.array_equal(case_set[k], want), (c, n_groups)

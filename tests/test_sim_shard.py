@@ -269,6 +269,47 @@ class TestShardQueue:
         assert claim_case(shard, worker_id="b") == "case-00002"
         assert claim_case(shard, worker_id="b") is None
 
+    def test_requeued_ticket_carries_no_stale_stamp(self, small_grid, tmp_path):
+        """A re-queued item's ticket must not carry the dead claimant's
+        ``claimed_at`` / ``lease_ttl_s``: the next claimant's lease,
+        renamed in but not yet stamped, would look expired and be
+        re-queued under it (one case run twice)."""
+        from repro.sim import shard as shard_module
+
+        shard = tmp_path / "shard"
+        init_shard(shard, small_grid, warm=False)
+        dead = claim_case(shard, worker_id="dead", lease_ttl_s=0.01)
+        time.sleep(0.03)
+        paths = shard_module._ShardPaths(shard)
+        assert shard_module._requeue_expired(paths) == 1
+        ticket = paths.ticket(dead)
+        assert json.loads(ticket.read_text()) == {"case_id": dead}
+        # The next claimant's rename lands; its stamp has not yet.
+        os.utime(ticket)
+        os.rename(ticket, paths.lease(dead))
+        assert shard_module._requeue_expired(paths) == 0
+        assert not ticket.exists()
+        assert paths.lease(dead).exists()
+
+    def test_failed_item_handed_back_without_stamp(
+        self, small_grid, tmp_path, monkeypatch
+    ):
+        from repro.sim import shard as shard_module
+
+        shard = tmp_path / "shard"
+        init_shard(shard, small_grid, warm=False)
+
+        def boom(case, cache_dir=None):
+            raise RuntimeError("injected case failure")
+
+        monkeypatch.setattr(shard_module, "run_case", boom)
+        with pytest.raises(RuntimeError, match="injected"):
+            work_shard(shard, worker_id="w1")
+        paths = shard_module._ShardPaths(shard)
+        assert not any(paths.leases.iterdir())
+        ticket = json.loads(paths.ticket("case-00000").read_text())
+        assert ticket == {"case_id": "case-00000"}
+
     def test_init_refuses_different_grid(self, small_grid, scenario, tmp_path):
         shard = tmp_path / "shard"
         init_shard(shard, small_grid, warm=False)
