@@ -82,10 +82,12 @@ class BuckBoostConverter:
     def efficiency(self, input_voltage_v: float) -> float:
         """Conversion efficiency at an input voltage.
 
-        Non-positive input voltages return the floor (the stage cannot
-        start); the curve is clamped to ``[floor, peak]``.
+        Non-positive and NaN input voltages return the floor (the stage
+        cannot start); the curve is clamped to ``[floor, peak]``.
         """
-        if input_voltage_v <= 0.0:
+        # ``not v > 0`` rather than ``v <= 0``: NaN takes the floor, as
+        # in :meth:`efficiency_batch`.
+        if not input_voltage_v > 0.0:
             return self.floor_efficiency
         deviation = float(np.log(input_voltage_v / self.optimal_input_v))
         coeff = self.low_side_coeff if deviation < 0.0 else self.high_side_coeff
@@ -115,9 +117,10 @@ class BuckBoostConverter:
     def output_power(self, input_power_w: float, input_voltage_v: float) -> float:
         """Power delivered to the bus for a given input operating point.
 
-        Negative input power (a back-driven array) delivers nothing.
+        Negative input power (a back-driven array) delivers nothing,
+        and so does a NaN one, as in :meth:`output_power_batch`.
         """
-        if input_power_w <= 0.0:
+        if not input_power_w > 0.0:
             return 0.0
         delivered = input_power_w * self.efficiency(input_voltage_v)
         return max(delivered - self.quiescent_power_w, 0.0)

@@ -294,8 +294,8 @@ class ExperimentRunner:
         and process start-up for small grids; ``"serial"`` runs inline
         (debugging, exact-equivalence tests); ``"shard"`` drives the
         grid through a durable :mod:`repro.sim.shard` directory — the
-        same substrate independent hosts use — and collates the
-        per-case artifacts (bit-identical to serial);
+        same substrate independent hosts use — and collates its
+        result artifacts (bit-identical to serial);
         ``"gridstack"`` fuses homogeneous INOR cases into stacked
         decision passes (:mod:`repro.sim.gridstack`), bit-identical to
         serial for everything but the wall-clock ``runtime_s`` series.

@@ -8,21 +8,25 @@ files, not Python objects.  Three exports cover the needs:
   period.
 * :func:`summary_rows_to_csv` — Table-I style one-row-per-scheme
   summaries for a set of results.
-* :func:`result_to_npz` / :func:`result_from_npz` — a *loss-free*
-  binary round trip of one :class:`SimulationResult` (raw float64
-  series plus the overhead-event records), the per-case artifact
-  format of the :mod:`repro.sim.shard` distributed grid runner.
-  Written atomically (temp file + ``os.replace``) so a crashed or
-  concurrent worker can never leave a truncated artifact behind.
+* :func:`results_to_npz` / :func:`results_from_npz` — a *loss-free*
+  binary round trip of K :class:`SimulationResult` objects in one file
+  (raw series columns plus the overhead-event records, each member's
+  rows cut by offset columns), the per-work-item artifact format of
+  the :mod:`repro.sim.shard` distributed grid runner: a fused group's
+  K members share one artifact.  :func:`result_to_npz` /
+  :func:`result_from_npz` are its one-member calls.  Written
+  atomically (temp file + ``os.replace``) so a crashed or concurrent
+  worker can never leave a truncated artifact behind.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import csv
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -74,9 +78,11 @@ def result_series_to_csv(
 
 #: Bumped whenever the npz artifact layout changes; readers refuse
 #: artifacts carrying a different version instead of misreading them.
-RESULT_FORMAT_VERSION = 1
+#: v2 holds any number of results in one file.
+RESULT_FORMAT_VERSION = 2
 
-#: Per-period series stored as raw float64 columns.
+#: Per-period series stored as raw columns, every member's rows
+#: concatenated and cut by ``series_offsets``.
 _RESULT_SERIES = (
     "time_s",
     "gross_power_w",
@@ -84,37 +90,58 @@ _RESULT_SERIES = (
     "ideal_power_w",
     "array_voltage_v",
     "runtime_s",
+    "n_groups_series",
 )
 
-#: Per-event float columns of the overhead records.
-_EVENT_FLOATS = ("time_s", "downtime_s", "energy_j", "compute_time_s")
+#: Per-event columns of the overhead records, in field order.
+_EVENT_FIELDS = tuple(field.name for field in fields(OverheadEvent))
 
 
-def result_to_npz(
-    result: SimulationResult, path: Union[str, Path]
+def _offsets(counts: Iterable[int]) -> np.ndarray:
+    """``[0, c0, c0 + c1, ...]``: where each member's rows start."""
+    return np.concatenate(([0], np.cumsum(list(counts)))).astype(np.int64)
+
+
+def results_to_npz(
+    results: Sequence[SimulationResult], path: Union[str, Path]
 ) -> Path:
-    """Write one result as a loss-free npz artifact; returns the path.
+    """Write K results as one loss-free npz artifact; returns the path.
 
-    The write is atomic: the artifact is assembled in a sibling temp
-    file and renamed into place, so readers (and shard collation) only
-    ever see complete files — a re-run of the same deterministic case
-    overwrites the artifact with identical bytes-for-meaning content.
+    Each per-period series is one column of every member's rows in
+    order, cut by ``series_offsets``; switch times and overhead events
+    are ragged the same way (``switch_offsets``, ``event_offsets``),
+    and the schemes ride in the metadata.  The write is atomic: the
+    artifact is assembled in a sibling temp file and renamed into
+    place, so readers (and shard collation) only ever see complete
+    files — a re-run of the same deterministic work overwrites the
+    artifact with identical bytes-for-meaning content.
     """
+    if not results:
+        raise SimulationError("a result artifact needs at least one result")
     path = Path(path)
-    arrays = {name: getattr(result, name) for name in _RESULT_SERIES}
-    arrays["n_groups_series"] = np.asarray(
-        result.n_groups_series, dtype=np.int64
+    arrays = {
+        name: np.concatenate([getattr(r, name) for r in results])
+        for name in _RESULT_SERIES
+    }
+    arrays["n_groups_series"] = arrays["n_groups_series"].astype(
+        np.int64, copy=False
     )
-    arrays["switch_times_s"] = np.asarray(result.switch_times_s, dtype=float)
-    events = result.overhead_events
-    for name in _EVENT_FLOATS:
+    arrays["series_offsets"] = _offsets(r.time_s.size for r in results)
+    arrays["switch_times_s"] = np.array(
+        [t for r in results for t in r.switch_times_s], dtype=float
+    )
+    arrays["switch_offsets"] = _offsets(len(r.switch_times_s) for r in results)
+    events = [e for r in results for e in r.overhead_events]
+    for name in _EVENT_FIELDS:
         arrays[f"ev_{name}"] = np.array(
-            [getattr(e, name) for e in events], dtype=float
+            [getattr(e, name) for e in events],
+            dtype=np.int64 if name == "toggles" else float,
         )
-    arrays["ev_toggles"] = np.array(
-        [e.toggles for e in events], dtype=np.int64
-    )
-    meta = {"version": RESULT_FORMAT_VERSION, "scheme": result.scheme}
+    arrays["event_offsets"] = _offsets(len(r.overhead_events) for r in results)
+    meta = {
+        "version": RESULT_FORMAT_VERSION,
+        "schemes": [r.scheme for r in results],
+    }
     path.parent.mkdir(parents=True, exist_ok=True)
 
     def write(tmp: Path) -> None:
@@ -125,8 +152,10 @@ def result_to_npz(
     return path
 
 
-def result_from_npz(path: Union[str, Path]) -> SimulationResult:
-    """Rebuild a :func:`result_to_npz` artifact, bit-identically.
+def results_from_npz(path: Union[str, Path]) -> Tuple[SimulationResult, ...]:
+    """Rebuild every member of a :func:`results_to_npz` artifact.
+
+    Bit-identical to the results written, in the order written.
 
     Raises
     ------
@@ -143,39 +172,50 @@ def result_from_npz(path: Union[str, Path]) -> SimulationResult:
                     f"unsupported result artifact version "
                     f"{meta.get('version')!r}"
                 )
-            # Hoisted: NpzFile.__getitem__ re-reads the zip member on
-            # every access, so indexing inside the loop would make a
-            # switch-heavy artifact (INOR: one event per period)
-            # quadratic in the event count.
-            ev = {
-                name: data[f"ev_{name}"] for name in _EVENT_FLOATS
-            }
-            toggles = data["ev_toggles"]
-            events = tuple(
-                OverheadEvent(
-                    time_s=float(ev["time_s"][i]),
-                    downtime_s=float(ev["downtime_s"][i]),
-                    energy_j=float(ev["energy_j"][i]),
-                    toggles=int(toggles[i]),
-                    compute_time_s=float(ev["compute_time_s"][i]),
-                )
-                for i in range(toggles.size)
-            )
-            return SimulationResult(
-                scheme=str(meta["scheme"]),
-                overhead_events=events,
+            # Each column read once: NpzFile.__getitem__ re-reads the
+            # zip member on every access.
+            series = {name: data[name] for name in _RESULT_SERIES}
+            rows = data["series_offsets"].tolist()
+            switches = data["switch_times_s"].tolist()
+            switch_cut = data["switch_offsets"].tolist()
+            columns = [data[f"ev_{name}"].tolist() for name in _EVENT_FIELDS]
+            events = [OverheadEvent(*row) for row in zip(*columns)]
+            event_cut = data["event_offsets"].tolist()
+        return tuple(
+            SimulationResult(
+                scheme=str(scheme),
+                overhead_events=tuple(events[event_cut[k]:event_cut[k + 1]]),
                 switch_times_s=tuple(
-                    float(t) for t in data["switch_times_s"]
+                    switches[switch_cut[k]:switch_cut[k + 1]]
                 ),
-                n_groups_series=data["n_groups_series"],
-                **{name: data[name] for name in _RESULT_SERIES},
+                **{
+                    name: column[rows[k]:rows[k + 1]]
+                    for name, column in series.items()
+                },
             )
-    except SimulationError:
-        raise
+            for k, scheme in enumerate(meta["schemes"])
+        )
     except Exception as exc:
         raise SimulationError(
             f"cannot read result artifact {path}: {exc}"
         ) from exc
+
+
+def result_to_npz(
+    result: SimulationResult, path: Union[str, Path]
+) -> Path:
+    """Write one result as a one-member :func:`results_to_npz` artifact."""
+    return results_to_npz([result], path)
+
+
+def result_from_npz(path: Union[str, Path]) -> SimulationResult:
+    """Rebuild a one-member artifact (see :func:`results_from_npz`)."""
+    results = results_from_npz(path)
+    if len(results) != 1:
+        raise SimulationError(
+            f"result artifact {path} holds {len(results)} results, not one"
+        )
+    return results[0]
 
 
 def summary_rows_to_csv(

@@ -26,15 +26,17 @@ inside it:
     at init time because they share a physics fingerprint, policy and
     kernel shape (see :func:`~repro.sim.gridstack.fusable_reason`) —
     through one grid-stacked pass
-    (:func:`~repro.sim.gridstack.run_grid_stacked`), publishing each
-    member case's artifacts.  A fused group is *done* when every
-    member case has its artifacts, so a mid-group crash resumes by
-    re-running the (idempotent, bit-identical) group.
+    (:func:`~repro.sim.gridstack.run_grid_stacked`).
 ``results/``
-    Per-case artifacts: a loss-free npz series
-    (:func:`~repro.sim.export.result_to_npz`) plus a JSON summary.
-    Both are written atomically, and the summary is written last, so
-    its presence marks the case done.
+    One loss-free npz artifact per work item, ``<item_id>.npz``,
+    holding the series of all its member cases
+    (:func:`~repro.sim.export.results_to_npz`; a ``case-*`` item is
+    the one-member layout), plus one JSON summary per member case,
+    ``<case_id>.json``.  All are written atomically, the item's npz
+    first, so a member case is *done* when its summary **and** its
+    item's npz exist.  A fused group is done when every member is, so
+    a crash between the npz and the last summary resumes by re-running
+    the (idempotent, bit-identical) group.
 ``cache/``
     The warmed on-disk :class:`~repro.sim.cache.PhysicsCache` artifact
     store (content fingerprints are machine-independent), so workers
@@ -56,6 +58,11 @@ The configured TTL lives in the manifest — one init-time choice
 governs every worker — and the unstamped-lease mtime fallback adds a
 clock-skew margin because filesystem mtimes cross the NFS clock
 domain (see :func:`_lease_expired`).
+
+A process parses the manifest once: every entry point reads it through
+a single-entry cache keyed by the file's resolved path, inode, mtime
+and size (see :func:`_load_manifest`), and ``init`` seeds that cache
+with the manifest it just wrote.
 """
 
 from __future__ import annotations
@@ -69,6 +76,7 @@ import time
 import uuid
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -82,14 +90,15 @@ from repro.sim.engine import (
     _worker_cache,
     run_case,
 )
-from repro.sim.export import result_from_npz, result_to_npz
+from repro.sim.export import results_from_npz, results_to_npz
 from repro.sim.gridstack import _group_key, fusable_reason, run_grid_stacked
 from repro.sim.results import SimulationResult, summary_row
 
-#: Bumped whenever the shard directory layout changes.  v2 adds the
+#: Bumped whenever the shard directory layout changes.  v2 added the
 #: manifest ``"groups"`` list — fused-group work items drained through
-#: one grid-stacked pass each.
-SHARD_FORMAT_VERSION = 2
+#: one grid-stacked pass each; v3 publishes one npz artifact per work
+#: item instead of one per case.
+SHARD_FORMAT_VERSION = 3
 
 #: Default lease time-to-live.  Generous on purpose: an expired lease
 #: only costs a duplicate (idempotent) execution, while a too-short
@@ -108,7 +117,7 @@ MANIFEST_NAME = "manifest.json"
 
 def _write_json_atomic(path: Path, payload: dict) -> None:
     """Write JSON via the shared crash-safe publish protocol."""
-    text = json.dumps(payload, indent=2, allow_nan=False)
+    text = json.dumps(payload, separators=(",", ":"), allow_nan=False)
     atomic_write(path, lambda tmp: tmp.write_text(text))
 
 
@@ -140,18 +149,26 @@ class _ShardPaths:
     def lease(self, case_id: str) -> Path:
         return self.leases / f"{case_id}.json"
 
-    def series_artifact(self, case_id: str) -> Path:
-        return self.results / f"{case_id}.npz"
+    def artifact(self, item_id: str) -> Path:
+        return self.results / f"{item_id}.npz"
 
-    def summary_artifact(self, case_id: str) -> Path:
+    def summary(self, case_id: str) -> Path:
         return self.results / f"{case_id}.json"
 
-    def case_done(self, case_id: str) -> bool:
-        # The summary is written after the npz, so it is the marker.
-        return (
-            self.summary_artifact(case_id).is_file()
-            and self.series_artifact(case_id).is_file()
-        )
+    def done_members(
+        self, item_id: str, member_ids: Sequence[str]
+    ) -> List[str]:
+        """The member cases of one work item that are done.
+
+        The summaries are written after the item's npz, so they are
+        the markers; without the npz no member is done.
+        """
+        if not self.artifact(item_id).is_file():
+            return []
+        return [c for c in member_ids if self.summary(c).is_file()]
+
+    def item_done(self, item_id: str, member_ids: Sequence[str]) -> bool:
+        return len(self.done_members(item_id, member_ids)) == len(member_ids)
 
 
 @dataclass(frozen=True)
@@ -164,7 +181,8 @@ class ShardManifest:
     resolve to :data:`DEFAULT_LEASE_TTL_S`).
 
     ``groups`` records the fused-group work items as
-    ``(group_id, member_case_ids)`` pairs, in ticket order.
+    ``(group_id, member_case_ids)`` pairs, in ticket order;
+    :attr:`items` lists every work item the same way.
     """
 
     case_ids: Tuple[str, ...]
@@ -187,6 +205,24 @@ class ShardManifest:
         return frozenset(
             case_id for _, member_ids in self.groups for case_id in member_ids
         )
+
+    @cached_property
+    def items(self) -> Tuple[Tuple[str, Tuple[str, ...]], ...]:
+        """Every work item as ``(item_id, member_case_ids)``.
+
+        Ticket order: the fused groups, then each remaining case as a
+        one-member item of its own.
+        """
+        grouped = self.grouped_case_ids()
+        return self.groups + tuple(
+            (case_id, (case_id,))
+            for case_id in self.case_ids
+            if case_id not in grouped
+        )
+
+    @cached_property
+    def items_by_id(self) -> Dict[str, Tuple[str, ...]]:
+        return dict(self.items)
 
 
 @dataclass(frozen=True)
@@ -304,7 +340,9 @@ def _group_id(index: int) -> str:
 
 
 def _compute_groups(
-    case_ids: Sequence[str], cases: Sequence[ExperimentCase]
+    case_ids: Sequence[str],
+    cases: Sequence[ExperimentCase],
+    fingerprints: Sequence[str],
 ) -> Tuple[Tuple[str, Tuple[str, ...]], ...]:
     """Partition a grid into fused-group work items.
 
@@ -316,11 +354,11 @@ def _compute_groups(
     """
     members: Dict[Tuple, List[str]] = {}
     order: List[Tuple] = []
-    for case_id, case in zip(case_ids, cases):
+    for case_id, case, fingerprint in zip(case_ids, cases, fingerprints):
         if fusable_reason(case) is not None:
             continue
         # Object identity cannot cross the JSON manifest: key on content.
-        key = _group_key(case, case.scenario.physics_fingerprint())
+        key = _group_key(case, fingerprint)
         if key not in members:
             members[key] = []
             order.append(key)
@@ -393,6 +431,7 @@ def init_shard(
     cache_value = None if cache_dir is None else str(cache_dir)
     ttl_value = None if lease_ttl_s is None else float(lease_ttl_s)
     ids = [_case_id(i) for i in range(len(cases))]
+    fingerprints = [case.scenario.physics_fingerprint() for case in cases]
     payload = {
         "version": SHARD_FORMAT_VERSION,
         "cache_dir": cache_value,
@@ -403,10 +442,13 @@ def init_shard(
         ],
         "groups": [
             {"id": group_id, "case_ids": list(member_ids)}
-            for group_id, member_ids in _compute_groups(ids, cases)
+            for group_id, member_ids in _compute_groups(
+                ids, cases, fingerprints
+            )
         ],
     }
-    existing = _read_json(paths.manifest) if paths.manifest.is_file() else None
+    key = _manifest_key(paths)
+    existing = None if key is None else _parse_manifest(paths)
     if existing is not None:
         if (
             existing.get("version") != SHARD_FORMAT_VERSION
@@ -434,74 +476,108 @@ def init_shard(
             )
     else:
         _write_json_atomic(paths.manifest, payload)
-
-    manifest = _load_manifest(paths)
+        key = _manifest_key(paths)
+    # Seed the manifest cache with what is on disk now, unparsed.
+    manifest = _remember_manifest(paths, existing or payload, key)
 
     # Enqueue every work item that is not finished and not currently
-    # claimed: one group ticket per unfinished fused group, one case
-    # ticket per remaining (ungrouped) case.
-    grouped = manifest.grouped_case_ids()
-    for group_id, member_ids in manifest.groups:
-        if all(paths.case_done(case_id) for case_id in member_ids):
+    # claimed: one ticket per unfinished fused group or ungrouped case.
+    for item_id, member_ids in manifest.items:
+        if paths.item_done(item_id, member_ids):
             continue
-        if paths.lease(group_id).exists() or paths.ticket(group_id).exists():
+        if paths.lease(item_id).exists() or paths.ticket(item_id).exists():
             continue
-        _write_ticket(paths, group_id)
-    for case_id in manifest.case_ids:
-        if case_id in grouped or paths.case_done(case_id):
-            continue
-        if paths.lease(case_id).exists() or paths.ticket(case_id).exists():
-            continue
-        _write_ticket(paths, case_id)
+        _write_ticket(paths, item_id)
 
     if warm:
-        cache = PhysicsCache(cache_dir=manifest.cache_dir)
-        seen = set()
-        unique = []
-        for case in manifest.cases:
-            fingerprint = case.scenario.physics_fingerprint()
-            if fingerprint not in seen:
-                seen.add(fingerprint)
-                unique.append(case.scenario)
-        cache.warm(unique)
+        unique = {}
+        for case, fingerprint in zip(cases, fingerprints):
+            unique.setdefault(fingerprint, case.scenario)
+        PhysicsCache(cache_dir=manifest.cache_dir).warm(list(unique.values()))
     return manifest
 
 
-def _load_manifest(paths: _ShardPaths) -> ShardManifest:
-    data = _read_json(paths.manifest)
-    if data is None:
-        raise SimulationError(
-            f"{paths.root} is not a shard directory (no readable "
-            f"{MANIFEST_NAME}); run 'repro shard init' first"
-        )
+#: The one manifest this process holds parsed, as ``(key, manifest)``
+#: (see :func:`_manifest_key`).  A single entry on purpose: a process
+#: that walks through many shard directories must not keep every grid
+#: it ever read.
+_manifest_cache: Optional[Tuple[tuple, ShardManifest]] = None
+
+
+def _manifest_key(paths: _ShardPaths) -> Optional[tuple]:
+    """Identity of the manifest file as it is now (``None`` if absent).
+
+    Resolved path, inode, mtime and size: a directory removed and
+    re-initialised at the same path gets a new inode or mtime, and
+    every manifest write is an atomic rename, i.e. a new inode.
+    """
+    try:
+        stat = os.stat(paths.manifest)
+    except OSError:
+        return None
+    return (
+        str(paths.manifest.resolve()),
+        stat.st_ino,
+        stat.st_mtime_ns,
+        stat.st_size,
+    )
+
+
+def _parse_manifest(paths: _ShardPaths) -> Optional[dict]:
+    """The one manifest parse (``None`` if missing or unreadable)."""
+    return _read_json(paths.manifest)
+
+
+def _remember_manifest(
+    paths: _ShardPaths, data: dict, key: Optional[tuple]
+) -> ShardManifest:
+    """Build a manifest from its JSON and cache it under ``key``.
+
+    ``key`` must be taken *before* ``data`` was read: a file replaced
+    in between then only costs a re-parse, never a stale hit.
+    """
+    global _manifest_cache
     version = data.get("version")
     if version != SHARD_FORMAT_VERSION:
         raise SimulationError(
             f"shard manifest version {version!r} is not supported "
             f"(this library reads version {SHARD_FORMAT_VERSION})"
         )
-    case_ids = tuple(entry["id"] for entry in data["cases"])
-    cases = tuple(
-        ExperimentCase.from_json_dict(entry["case"]) for entry in data["cases"]
-    )
+    root = paths.root.resolve()
     cache_value = data.get("cache_dir")
-    cache_dir = (
-        paths.root / "cache" if cache_value is None else Path(cache_value)
-    )
     ttl_value = data.get("lease_ttl_s")
-    groups = tuple(
-        (str(entry["id"]), tuple(str(c) for c in entry["case_ids"]))
-        for entry in data["groups"]
-    )
-    return ShardManifest(
-        case_ids=case_ids,
-        cases=cases,
-        cache_dir=cache_dir,
+    manifest = ShardManifest(
+        case_ids=tuple(entry["id"] for entry in data["cases"]),
+        cases=tuple(
+            ExperimentCase.from_json_dict(entry["case"])
+            for entry in data["cases"]
+        ),
+        cache_dir=root / "cache" if cache_value is None else Path(cache_value),
         lease_ttl_s=(
             DEFAULT_LEASE_TTL_S if ttl_value is None else float(ttl_value)
         ),
-        groups=groups,
+        groups=tuple(
+            (str(entry["id"]), tuple(str(c) for c in entry["case_ids"]))
+            for entry in data["groups"]
+        ),
     )
+    _manifest_cache = None if key is None else (key, manifest)
+    return manifest
+
+
+def _load_manifest(paths: _ShardPaths) -> ShardManifest:
+    """The shard's manifest, parsed only when the file changed."""
+    key = _manifest_key(paths)
+    cached = _manifest_cache
+    if key is not None and cached is not None and cached[0] == key:
+        return cached[1]
+    data = None if key is None else _parse_manifest(paths)
+    if data is None:
+        raise SimulationError(
+            f"{paths.root} is not a shard directory (no readable "
+            f"{MANIFEST_NAME}); run 'repro shard init' first"
+        )
+    return _remember_manifest(paths, data, key)
 
 
 def load_shard_manifest(shard_dir: Union[str, Path]) -> ShardManifest:
@@ -512,38 +588,6 @@ def load_shard_manifest(shard_dir: Union[str, Path]) -> ShardManifest:
 # ----------------------------------------------------------------------
 # the queue protocol
 # ----------------------------------------------------------------------
-def _manifest_ttl(paths: _ShardPaths) -> float:
-    """The shard's configured lease TTL (light manifest read).
-
-    Reads just the top-level key — no case rebuilding — so claim scans
-    stay cheap.  Missing manifest or key resolves to the default.
-    """
-    data = _read_json(paths.manifest)
-    ttl = None if data is None else data.get("lease_ttl_s")
-    return DEFAULT_LEASE_TTL_S if ttl is None else float(ttl)
-
-
-def _manifest_groups(paths: _ShardPaths) -> Dict[str, Tuple[str, ...]]:
-    """Fused-group membership (light manifest read, no case rebuild)."""
-    data = _read_json(paths.manifest)
-    if data is None:
-        return {}
-    return {
-        str(entry["id"]): tuple(str(c) for c in entry["case_ids"])
-        for entry in data.get("groups", [])
-    }
-
-
-def _item_done(
-    paths: _ShardPaths, item_id: str, groups: Dict[str, Tuple[str, ...]]
-) -> bool:
-    """Whether a work item — case or fused group — has its artifacts."""
-    member_ids = groups.get(item_id)
-    if member_ids is not None:
-        return all(paths.case_done(case_id) for case_id in member_ids)
-    return paths.case_done(item_id)
-
-
 def _lease_expired(
     lease: Path, now: float, default_ttl_s: float = DEFAULT_LEASE_TTL_S
 ) -> bool:
@@ -580,9 +624,8 @@ def _requeue_expired(
 ) -> int:
     """Move expired leases back to pending; returns how many moved.
 
-    A lease whose case already has result artifacts (worker crashed
-    after publishing, before releasing) is released instead of
-    re-queued.
+    A lease whose item is already done (worker crashed after
+    publishing, before releasing) is released instead of re-queued.
 
     Another worker may re-queue a lease and claim the item afresh
     between this judgement and the move, so the lease is renamed aside
@@ -593,13 +636,14 @@ def _requeue_expired(
     the ``init`` resume path to re-queue.)
     """
     now = time.time() if now is None else now
+    manifest = _load_manifest(paths)
     if default_ttl_s is None:
-        default_ttl_s = _manifest_ttl(paths)
-    groups = _manifest_groups(paths)
+        default_ttl_s = manifest.lease_ttl_s
+    members = manifest.items_by_id
     moved = 0
     for lease in sorted(paths.leases.glob("*.json")):
         item_id = lease.stem
-        if _item_done(paths, item_id, groups):
+        if paths.item_done(item_id, members.get(item_id, (item_id,))):
             lease.unlink(missing_ok=True)
             continue
         if not _lease_expired(lease, now, default_ttl_s):
@@ -641,7 +685,7 @@ def claim_case(
     paths = _ShardPaths(shard_dir)
     worker_id = worker_id or _default_worker_id()
     if lease_ttl_s is None:
-        lease_ttl_s = _manifest_ttl(paths)
+        lease_ttl_s = _load_manifest(paths).lease_ttl_s
     scanned_expired = False
     while True:
         claimed = None
@@ -684,22 +728,36 @@ def release_case(shard_dir: Union[str, Path], case_id: str) -> None:
 
 def publish_result(
     shard_dir: Union[str, Path],
-    case_id: str,
-    case: ExperimentCase,
-    result: SimulationResult,
+    item_id: str,
+    results: Sequence[SimulationResult],
 ) -> None:
-    """Write one case's artifacts (npz series, then the JSON summary).
+    """Write one work item's artifacts: its npz, then member summaries.
 
-    Both writes are atomic and the summary lands last, so a case is
-    observably *done* only once both artifacts are complete.
+    ``results`` are the item's member cases' results, in manifest
+    order.  Every write is atomic and the summaries land after the
+    npz, so a member case is observably *done* only once both its
+    artifacts are complete.
     """
     paths = _ShardPaths(shard_dir)
-    result_to_npz(result, paths.series_artifact(case_id))
-    row = {key: _json_safe(value) for key, value in summary_row(result).items()}
-    _write_json_atomic(
-        paths.summary_artifact(case_id),
-        {"case": case.name, "policy": case.policy, "summary": row},
-    )
+    manifest = _load_manifest(paths)
+    member_ids = manifest.items_by_id[item_id]
+    if len(results) != len(member_ids):
+        raise SimulationError(
+            f"work item {item_id} has {len(member_ids)} cases, "
+            f"got {len(results)} results"
+        )
+    results_to_npz(results, paths.artifact(item_id))
+    cases = manifest.by_id()
+    for case_id, result in zip(member_ids, results):
+        case = cases[case_id]
+        row = {
+            key: _json_safe(value)
+            for key, value in summary_row(result).items()
+        }
+        _write_json_atomic(
+            paths.summary(case_id),
+            {"case": case.name, "policy": case.policy, "summary": row},
+        )
 
 
 def _run_fused_group(
@@ -733,9 +791,10 @@ def work_shard(
     engine's single :func:`~repro.sim.engine.run_case` code path (with
     the shard's warm physics store); a fused-group ticket runs every
     member case through **one** grid-stacked pass
-    (:func:`~repro.sim.gridstack.run_grid_stacked`) and publishes each
-    member's artifacts — bit-identical to the per-case path, so the
-    collation cannot tell which route produced an artifact.
+    (:func:`~repro.sim.gridstack.run_grid_stacked`) — bit-identical to
+    the per-case path, so the collation cannot tell which route ran a
+    case.  Either way the item publishes one artifact
+    (:func:`publish_result`).
     ``lease_ttl_s=None`` uses the shard's configured TTL.  Returns
     when nothing is claimable — the queue is drained or every
     remaining item is held by a live lease on another worker — or
@@ -753,29 +812,21 @@ def work_shard(
         item_id = claim_case(paths.root, worker_id, lease_ttl_s)
         if item_id is None:
             break
-        if item_id not in cases_by_id and item_id not in groups_by_id:
+        member_ids = manifest.items_by_id.get(item_id)
+        if member_ids is None:
             raise SimulationError(
                 f"queue ticket {item_id!r} is not in the shard manifest"
             )
-        finished: List[str] = []
         try:
-            if item_id in groups_by_id:
-                member_ids = groups_by_id[item_id]
-                if not all(paths.case_done(c) for c in member_ids):
-                    members = [cases_by_id[c] for c in member_ids]
+            if not paths.item_done(item_id, member_ids):
+                members = [cases_by_id[c] for c in member_ids]
+                if item_id in groups_by_id:
                     results = _run_fused_group(members, manifest)
-                    for case_id, case, result in zip(
-                        member_ids, members, results
-                    ):
-                        publish_result(paths.root, case_id, case, result)
-                finished.extend(member_ids)
-            elif not paths.case_done(item_id):
-                case = cases_by_id[item_id]
-                result = run_case(case, cache_dir=str(manifest.cache_dir))
-                publish_result(paths.root, item_id, case, result)
-                finished.append(item_id)
-            else:
-                finished.append(item_id)
+                else:
+                    results = [
+                        run_case(members[0], cache_dir=str(manifest.cache_dir))
+                    ]
+                publish_result(paths.root, item_id, results)
         except BaseException:
             # This process is still alive to hand the item back —
             # waiting out the lease TTL is for *crashed* workers, and
@@ -787,7 +838,7 @@ def work_shard(
                 lease.unlink(missing_ok=True)
             raise
         release_case(paths.root, item_id)
-        completed.extend(finished)
+        completed.extend(member_ids)
     return completed
 
 
@@ -833,24 +884,23 @@ def shard_status(shard_dir: Union[str, Path]) -> ShardStatus:
     manifest = _load_manifest(paths)
     now = time.time()
     default_ttl_s = manifest.lease_ttl_s
-    done = pending = leased = expired = 0
+    counts = {"done": 0, "pending": 0, "leased": 0, "expired": 0}
     expired_leases: List[LeaseInfo] = []
     stale_leases: List[LeaseInfo] = []
     fused_groups: List[GroupInfo] = []
-    group_of: Dict[str, str] = {}
-    group_state: Dict[str, str] = {}
-    # Fused groups first: each group's single ticket/lease decides the
-    # state its unfinished member cases count under.
-    for group_id, member_ids in manifest.groups:
-        for case_id in member_ids:
-            group_of[case_id] = group_id
+    groups = manifest.groups_by_id()
+    # Each item's single ticket/lease decides the state its unfinished
+    # member cases count under.
+    for item_id, member_ids in manifest.items:
+        n_done = len(paths.done_members(item_id, member_ids))
+        counts["done"] += n_done
         worker = ""
-        if all(paths.case_done(case_id) for case_id in member_ids):
+        if n_done == len(member_ids):
             state = "done"
-        elif paths.ticket(group_id).exists():
+        elif paths.ticket(item_id).exists():
             state = "pending"
-        elif paths.lease(group_id).exists():
-            lease = paths.lease(group_id)
+        elif paths.lease(item_id).exists():
+            lease = paths.lease(item_id)
             info = _lease_info(lease, now, default_ttl_s)
             if _lease_expired(lease, now, default_ttl_s):
                 state = "expired"
@@ -863,53 +913,26 @@ def shard_status(shard_dir: Union[str, Path]) -> ShardStatus:
             if info is not None:
                 worker = info.worker
         else:
-            # Orphaned (e.g. interrupted init): re-queued next pass.
-            state = "pending"
-        group_state[group_id] = state
-        fused_groups.append(
-            GroupInfo(
-                group_id=group_id,
-                case_ids=member_ids,
-                state=state,
-                worker=worker,
-            )
-        )
-    for case_id in manifest.case_ids:
-        if paths.case_done(case_id):
-            done += 1
-            continue
-        group_id = group_of.get(case_id)
-        if group_id is not None:
-            state = group_state[group_id]
-            if state == "leased":
-                leased += 1
-            elif state == "expired":
-                expired += 1
-            else:
-                pending += 1
-        elif paths.ticket(case_id).exists():
-            pending += 1
-        elif paths.lease(case_id).exists():
-            lease = paths.lease(case_id)
-            info = _lease_info(lease, now, default_ttl_s)
-            if _lease_expired(lease, now, default_ttl_s):
-                expired += 1
-                if info is not None:
-                    expired_leases.append(info)
-            else:
-                leased += 1
-                if info is not None and info.age_s > 0.5 * info.ttl_s:
-                    stale_leases.append(info)
-        else:
             # Orphaned (e.g. interrupted init): counts as pending work
             # that the next init/work pass will re-queue.
-            pending += 1
+            state = "pending"
+        if state != "done":
+            counts[state] += len(member_ids) - n_done
+        if item_id in groups:
+            fused_groups.append(
+                GroupInfo(
+                    group_id=item_id,
+                    case_ids=member_ids,
+                    state=state,
+                    worker=worker,
+                )
+            )
     return ShardStatus(
         total=len(manifest),
-        done=done,
-        pending=pending,
-        leased=leased,
-        expired=expired,
+        done=counts["done"],
+        pending=counts["pending"],
+        leased=counts["leased"],
+        expired=counts["expired"],
         expired_leases=tuple(expired_leases),
         stale_leases=tuple(stale_leases),
         fused_groups=tuple(fused_groups),
@@ -954,17 +977,19 @@ def watch_shard(
 def collate_shard(shard_dir: Union[str, Path]) -> ExperimentCollation:
     """Reassemble the full collation from a finished shard.
 
-    Results are loaded in manifest order, so the collation is
-    bit-identical to the serial :class:`ExperimentRunner` run over the
-    same grid regardless of which worker produced which artifact.
+    One artifact is read per work item and the results are put back
+    in manifest order, so the collation is bit-identical to the serial
+    :class:`ExperimentRunner` run over the same grid regardless of
+    which worker produced which artifact.
     """
     paths = _ShardPaths(shard_dir)
     manifest = _load_manifest(paths)
-    missing = [
+    done = {
         case_id
-        for case_id in manifest.case_ids
-        if not paths.case_done(case_id)
-    ]
+        for item_id, member_ids in manifest.items
+        for case_id in paths.done_members(item_id, member_ids)
+    }
+    missing = [c for c in manifest.case_ids if c not in done]
     if missing:
         status = shard_status(paths.root)
         raise SimulationError(
@@ -972,11 +997,20 @@ def collate_shard(shard_dir: Union[str, Path]) -> ExperimentCollation:
             f"missing: {', '.join(missing[:5])}"
             + ("..." if len(missing) > 5 else "")
         )
-    results = tuple(
-        result_from_npz(paths.series_artifact(case_id))
-        for case_id in manifest.case_ids
+    by_case: Dict[str, SimulationResult] = {}
+    for item_id, member_ids in manifest.items:
+        artifact = paths.artifact(item_id)
+        results = results_from_npz(artifact)
+        if len(results) != len(member_ids):
+            raise SimulationError(
+                f"result artifact {artifact} holds {len(results)} results "
+                f"for {len(member_ids)} cases"
+            )
+        by_case.update(zip(member_ids, results))
+    return ExperimentCollation(
+        cases=manifest.cases,
+        results=tuple(by_case[case_id] for case_id in manifest.case_ids),
     )
-    return ExperimentCollation(cases=manifest.cases, results=results)
 
 
 # ----------------------------------------------------------------------

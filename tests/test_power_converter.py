@@ -1,5 +1,9 @@
 """Tests for repro.power.converter."""
 
+import itertools
+import math
+
+import numpy as np
 import pytest
 
 from repro.errors import ModelParameterError
@@ -64,6 +68,51 @@ class TestOutputPower:
         for v in (3.0, 10.0, 14.0, 30.0):
             for p in (0.5, 5.0, 50.0):
                 assert converter.output_power(p, v) <= p
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+class TestScalarMatchesBatch:
+    """The scalar forms agree with the ``*_batch`` forms element for
+    element, on inputs outside the curve's domain too (NaN, +-inf,
+    signed zeros, negatives)."""
+
+    EDGE = (
+        math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, -1e-300, 5e-324,
+        0.3, 14.5, 80.0,
+    )
+    CONVERTERS = (
+        BuckBoostConverter(),
+        # Flat high side: +inf input turns the curve term into 0 * inf.
+        BuckBoostConverter(high_side_coeff=0.0, quiescent_power_w=0.0),
+    )
+
+    @staticmethod
+    def assert_same(scalar, batch):
+        scalar = np.asarray(scalar, dtype=float)
+        np.testing.assert_array_equal(scalar, batch)
+        finite = ~np.isnan(scalar)
+        assert np.array_equal(
+            np.signbit(scalar[finite]), np.signbit(batch[finite])
+        )
+
+    @pytest.mark.parametrize("converter", CONVERTERS)
+    def test_efficiency(self, converter):
+        scalar = [converter.efficiency(v) for v in self.EDGE]
+        self.assert_same(
+            scalar, converter.efficiency_batch(np.array(self.EDGE))
+        )
+
+    @pytest.mark.parametrize("converter", CONVERTERS)
+    def test_output_power(self, converter):
+        pairs = list(itertools.product(self.EDGE, self.EDGE))
+        p, v = (np.array(column) for column in zip(*pairs))
+        scalar = [converter.output_power(a, b) for a, b in pairs]
+        self.assert_same(scalar, converter.output_power_batch(p, v))
+
+    def test_nan_input_power_delivers_nothing(self, converter):
+        assert converter.output_power(math.nan, 14.5) == 0.0
+        assert converter.efficiency(math.nan) == converter.floor_efficiency
 
 
 class TestPreferredWindow:

@@ -98,8 +98,10 @@ def _charger(quiescent_w=None):
     return TEGCharger(converter=BuckBoostConverter(quiescent_power_w=quiescent_w))
 
 
-#: Row kinds the scalar reference can rank: it scores a NaN row NaN on
-#: every candidate and finds no maximum.
+#: Row kinds the scalar reference can rank *without a charger*: it
+#: scores a NaN row's raw MPP power NaN on every candidate and finds no
+#: maximum.  With a charger a NaN power delivers 0.0 W, so the charger
+#: comparisons draw every kind.
 FINITE_KINDS = ("all_negative", "mixed_dead", "weak", "live")
 
 
@@ -120,7 +122,7 @@ class TestInorAgainstFullPass:
             want = inor(emf, res, charger=charger)
         assert_same_result(got, want)
 
-    @given(chain(kinds=FINITE_KINDS))
+    @given(chain())
     @settings(max_examples=150, deadline=None)
     def test_proof_matches_scalar(self, case):
         emf, res = case
@@ -129,7 +131,7 @@ class TestInorAgainstFullPass:
         want = inor(emf, res, charger=charger, kernel="scalar")
         assert_same_result(got, want)
 
-    @given(chain(kinds=FINITE_KINDS), st.data())
+    @given(chain(), st.data())
     @settings(max_examples=80, deadline=None)
     def test_explicit_windows(self, case, data):
         emf, res = case
@@ -144,7 +146,7 @@ class TestInorAgainstFullPass:
         assert_same_result(got, want)
         assert got.candidates_evaluated == hi - lo + 1
 
-    @given(chain(kinds=FINITE_KINDS))
+    @given(chain())
     @settings(max_examples=60, deadline=None)
     def test_zero_quiescent_power(self, case):
         """A zero quiescent power never proves a case (the test is

@@ -11,8 +11,10 @@ from repro.sim.export import (
     RESULT_FORMAT_VERSION,
     SERIES_COLUMNS,
     result_from_npz,
+    results_from_npz,
     result_series_to_csv,
     result_to_npz,
+    results_to_npz,
     summary_rows_to_csv,
 )
 from repro.sim.scenario import default_scenario
@@ -109,6 +111,16 @@ class TestNpzRoundTrip:
         path.write_bytes(path.read_bytes()[:50])
         with pytest.raises(SimulationError):
             result_from_npz(path)
+
+    def test_one_member_reader_refuses_group_artifact(self, result, tmp_path):
+        path = results_to_npz([result, result], tmp_path / "g.npz")
+        assert len(results_from_npz(path)) == 2
+        with pytest.raises(SimulationError, match="holds 2 results"):
+            result_from_npz(path)
+
+    def test_empty_artifact_refused(self, tmp_path):
+        with pytest.raises(SimulationError, match="at least one"):
+            results_to_npz([], tmp_path / "g.npz")
 
     def test_version_skew_refused(self, result, tmp_path):
         path = result_to_npz(result, tmp_path / "r.npz")

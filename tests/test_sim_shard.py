@@ -781,29 +781,45 @@ class TestFusedGroups:
         assert_collations_bit_identical(collate_shard(shard), fused_serial)
 
     def test_mid_group_crash_reruns_idempotently(
-        self, fused_grid, fused_serial, tmp_path
+        self, fused_grid, fused_serial, tmp_path, monkeypatch
     ):
-        """A group whose worker died after publishing one member is
-        re-claimed whole; determinism makes the republish a no-op."""
-        from repro.sim.engine import run_case
-        from repro.sim.shard import publish_result
+        """A worker that dies after the group npz and one member summary
+        leaves the group not done; the group is re-claimed whole and
+        determinism makes the republish a no-op."""
+        from repro.sim import shard as shard_module
 
         shard = tmp_path / "shard"
         init_shard(shard, fused_grid)
-        manifest = load_shard_manifest(shard)
-        group_id, member_ids = manifest.groups[0]
-        first = member_ids[0]
-        case = manifest.by_id()[first]
-        publish_result(
-            shard, first, case,
-            run_case(case, cache_dir=str(manifest.cache_dir)),
+        group_id, member_ids = load_shard_manifest(shard).groups[0]
+        write = shard_module._write_json_atomic
+        summaries = []
+
+        def die_after_first_summary(path, payload):
+            if path.parent.name == "results":
+                if summaries:
+                    raise RuntimeError("worker died")
+                summaries.append(path.name)
+            write(path, payload)
+
+        monkeypatch.setattr(
+            shard_module, "_write_json_atomic", die_after_first_summary
         )
+        with pytest.raises(RuntimeError, match="worker died"):
+            work_shard(shard, worker_id="doomed")
+        monkeypatch.undo()
+        assert (shard / "results" / f"{group_id}.npz").is_file()
+        assert summaries == [f"{member_ids[0]}.json"]
         status = shard_status(shard)
         assert status.done == 1 and not status.complete
+        assert status.fused_groups[0].state == "pending"
         done = work_shard(shard, worker_id="rescuer")
         # The partially-done group reports every member, including the
         # already-published one (the rerun overwrote it bit-identically).
-        assert first in done
+        assert member_ids[0] in done
+        assert sorted(p.name for p in (shard / "results").glob("*.npz")) == [
+            "group-00000.npz",
+            "group-00001.npz",
+        ]
         assert_collations_bit_identical(collate_shard(shard), fused_serial)
 
     def test_expired_group_lease_requeued(self, fused_grid, tmp_path):
@@ -855,20 +871,132 @@ class TestFusedGroups:
     def test_unsupported_version_names_supported_range(
         self, fused_grid, tmp_path
     ):
-        """A v1 manifest (the retired ungrouped layout) and a future
-        version are both refused: at load with the supported version
-        named, and at resume as a different grid."""
+        """A v1 manifest (the retired ungrouped layout), a v2 one (the
+        retired per-case artifacts) and a future version are all
+        refused: at load with the supported version named, and at
+        resume as a different grid."""
         shard = tmp_path / "shard"
         init_shard(shard, fused_grid, warm=False)
         manifest_path = shard / "manifest.json"
         written = json.loads(manifest_path.read_text())
-        for version in (1, 999):
+        for version in (1, 2, 999):
             data = dict(written, version=version)
             manifest_path.write_text(json.dumps(data))
-            with pytest.raises(SimulationError, match="reads version 2"):
+            with pytest.raises(SimulationError, match="reads version 3"):
                 load_shard_manifest(shard)
             with pytest.raises(SimulationError, match="different grid"):
                 init_shard(shard, fused_grid, warm=False)
+
+
+class TestShardArtifacts:
+    """Shard format v3: one npz artifact per work item, one manifest
+    parse per process."""
+
+    @pytest.fixture(scope="class")
+    def four_group_grid(self):
+        scenarios = [
+            default_scenario(
+                duration_s=20.0, seed=seed, n_modules=16,
+                nominal_compute_s=1.0e-3,
+            )
+            for seed in (5, 6)
+        ]
+        grid = grid_cases(
+            scenarios, ["DNOR", "Baseline"], scanner_noise_std_k=[0.02, 0.1]
+        )
+        # Plus one lone (unfusable) case: a one-member case-* item.
+        return grid + grid_cases(scenarios[:1], ["EHTR"])
+
+    def test_group_artifact_round_trips_each_member(
+        self, small_serial, tmp_path
+    ):
+        """Members with many, few and no events or switches (INOR,
+        DNOR, Baseline) come back bit for bit, in the order written."""
+        from repro.sim.export import results_from_npz, results_to_npz
+
+        written = [r for _, r in small_serial]
+        written = written + written[::-1]
+        counts = {len(r.overhead_events) for r in written}
+        assert 0 in counts and len(counts) == 3
+        assert any(not r.switch_times_s for r in written)
+        loaded = results_from_npz(
+            results_to_npz(written, tmp_path / "group.npz")
+        )
+        assert len(loaded) == len(written)
+        for got, want in zip(loaded, written):
+            for field in DETERMINISTIC_FIELDS + ("runtime_s",):
+                a, b = getattr(got, field), getattr(want, field)
+                assert a.dtype == b.dtype, field
+                assert a.tobytes() == b.tobytes(), field
+            assert got.scheme == want.scheme
+            assert got.switch_times_s == want.switch_times_s
+            assert got.overhead_events == want.overhead_events
+
+    def test_one_artifact_per_item_and_one_manifest_parse(
+        self, four_group_grid, tmp_path, monkeypatch
+    ):
+        from types import SimpleNamespace
+
+        from repro.sim import shard as shard_module
+
+        parses = []
+
+        def counting_loads(text, *args, **kwargs):
+            parses.append(len(text))
+            return json.loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(
+            shard_module,
+            "json",
+            SimpleNamespace(loads=counting_loads, dumps=json.dumps),
+        )
+        shard = tmp_path / "shard"
+        manifest = init_shard(shard, four_group_grid)
+        assert len(manifest.groups) == 4 and len(manifest.items) == 5
+        work_shard(shard, worker_id="only")
+        collation = collate_shard(shard)
+        assert len(parses) <= 1
+        artifacts = sorted(p.stem for p in (shard / "results").glob("*.npz"))
+        assert artifacts == sorted(item_id for item_id, _ in manifest.items)
+        summaries = sorted(p.stem for p in (shard / "results").glob("*.json"))
+        assert summaries == sorted(manifest.case_ids)
+        assert [c.name for c, _ in collation] == [
+            c.name for c in four_group_grid
+        ]
+
+    def test_truncated_group_artifact_names_the_file(
+        self, four_group_grid, tmp_path
+    ):
+        shard = tmp_path / "shard"
+        init_shard(shard, four_group_grid)
+        work_shard(shard, worker_id="only")
+        artifact = shard / "results" / "group-00002.npz"
+        artifact.write_bytes(artifact.read_bytes()[:200])
+        with pytest.raises(SimulationError, match="group-00002.npz"):
+            collate_shard(shard)
+
+    def test_reinitialised_directory_never_served_stale_manifest(
+        self, small_grid, scenario, tmp_path
+    ):
+        """Another process removes the shard and initialises a
+        different grid at the same path: the cached manifest of the old
+        grid must not be served for it."""
+        import shutil
+
+        other_grid = grid_cases([scenario], ["Baseline"])
+        elsewhere = tmp_path / "elsewhere"
+        init_shard(elsewhere, other_grid, warm=False)
+        shard = tmp_path / "shard"
+        init_shard(shard, small_grid, warm=False)
+        assert len(load_shard_manifest(shard)) == len(small_grid)
+        shutil.rmtree(shard)
+        # Written without going through this process's cache.
+        shutil.copytree(elsewhere, shard)
+        manifest = load_shard_manifest(shard)
+        assert [c.name for c in manifest.cases] == [
+            c.name for c in other_grid
+        ]
+        assert shard_status(shard).total == len(other_grid)
 
 
 class TestWatchShard:
@@ -883,8 +1011,8 @@ class TestWatchShard:
         manifest = load_shard_manifest(shard)
         for case_id, case in manifest.by_id().items():
             publish_result(
-                shard, case_id, case,
-                run_case(case, cache_dir=str(manifest.cache_dir)),
+                shard, case_id,
+                [run_case(case, cache_dir=str(manifest.cache_dir))],
             )
         stream = io.StringIO()
         status = watch_shard(shard, interval_s=0.01, stream=stream)
