@@ -92,20 +92,16 @@ def test_stacked_epochs_beat_sequential(tmp_path):
     # (Replays each session's sensed inputs through the scalar path —
     # what K independent PeriodicPolicy loops would cost.)
     charger = scenario.make_charger(with_battery=False)
-    module = scenario.module
     per_row_inputs = []
     for k in range(SESSIONS):
         sensed = dataclasses.replace(scenario, sensor_seed=4000 + k)
         session = StreamSession(sensed, "INOR", f"seq-{k:03d}")
         session.feed_trace(trace, 0, trace.n_samples)
-        per_row_inputs.extend(
-            (pending.emf_row,) for pending in session.pending
-        )
-    resistance = np.full(
-        MODULES, module.material.resistance_ohm * module.n_couples
-    )
+        # Each queued epoch holds the (emf, resistance) its policy's
+        # observe() returned.
+        per_row_inputs.extend(pending.inputs for pending in session.pending)
     t0 = time.perf_counter()
-    for (emf_row,) in per_row_inputs:
+    for emf_row, resistance in per_row_inputs:
         inor(emf_row, resistance, charger=charger)
     t_sequential = time.perf_counter() - t0
 

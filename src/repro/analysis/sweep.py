@@ -12,7 +12,7 @@ from typing import Callable, Dict, List, Sequence
 
 from repro.errors import SimulationError
 from repro.sim.results import SimulationResult, summary_row
-from repro.sim.scenario import Scenario
+from repro.sim.scenario import POLICY_NAMES, Scenario
 
 
 @dataclass(frozen=True)
@@ -57,16 +57,17 @@ def sweep_scenario(
     """
     if len(values) == 0:
         raise SimulationError("sweep needs at least one value")
+    unknown = set(schemes) - set(POLICY_NAMES)
+    if unknown:
+        raise SimulationError(f"unknown schemes requested: {sorted(unknown)}")
     points: List[SweepResult] = []
     for value in values:
         scenario = base_factory(float(value))
-        policies = scenario.make_policies()
-        unknown = set(schemes) - set(policies)
-        if unknown:
-            raise SimulationError(f"unknown schemes requested: {sorted(unknown)}")
         simulator = scenario.make_simulator()
         results = {
-            name: simulator.run(policies[name], scenario.make_charger())
+            name: simulator.run(
+                scenario.make_policy(name), scenario.make_charger()
+            )
             for name in schemes
         }
         points.append(SweepResult(label=label, value=float(value), results=results))

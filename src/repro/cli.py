@@ -53,7 +53,7 @@ from repro.sim.engine import (
     grid_cases,
 )
 from repro.sim.results import comparison_table
-from repro.sim.scenario import default_registry, default_scenario
+from repro.sim.scenario import POLICY_NAMES, default_registry, default_scenario
 from repro.sim.shard import (
     collate_shard,
     init_shard,
@@ -182,12 +182,11 @@ def _build_grid(args: argparse.Namespace) -> Optional[List[ExperimentCase]]:
         )
         return None
     schemes = _parse_name_list(args.schemes)
-    known_schemes = ("DNOR", "INOR", "EHTR", "Baseline")
-    bad_schemes = [s for s in schemes if s not in known_schemes]
+    bad_schemes = [s for s in schemes if s not in POLICY_NAMES]
     if bad_schemes:
         print(
             f"unknown schemes: {', '.join(bad_schemes)} "
-            f"(available: {', '.join(known_schemes)})",
+            f"(available: {', '.join(POLICY_NAMES)})",
             file=sys.stderr,
         )
         return None
@@ -695,7 +694,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--policy",
         default="INOR",
-        choices=("INOR", "DNOR", "EHTR", "Baseline"),
+        choices=POLICY_NAMES,
     )
     serve.add_argument(
         "--decisions-dir",

@@ -11,6 +11,12 @@ four schemes:
   baseline at the same period.
 * :class:`DNORPolicy` — Algorithm 2 with prediction-gated switching.
 * :class:`StaticPolicy` — the hard-wired grid baseline.
+
+:class:`PeriodicPolicy` and :class:`DNORPolicy` split ``decide`` into
+``observe`` (gate the sample; at an epoch, return the kernel inputs),
+the kernel call, and ``commit`` (kernel result -> configuration), so an
+external epoch runner can queue many policies' epochs and decide them
+in one stacked kernel pass.
 """
 
 from __future__ import annotations
@@ -167,18 +173,43 @@ class PeriodicPolicy(ReconfigurationPolicy):
         """Reconfiguration period."""
         return self._clock.period_s
 
+    @property
+    def charger(self) -> Optional[TEGCharger]:
+        """The converter INOR ranks by (``None`` for EHTR)."""
+        return self._charger
+
+    def observe(
+        self, time_s: float, module_temps_c: np.ndarray, ambient_c: float
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """Gate one sensed sample; return the epoch's kernel inputs.
+
+        The sensing half of :meth:`decide`: ``None`` between periods,
+        and at a period boundary the ``(emf, resistance)`` Thevenin
+        vectors the kernel decides on.  External epoch runners (the
+        streaming hub) queue these and decide many policies' epochs in
+        one stacked :func:`~repro.core.inor.inor_stack` pass.
+        """
+        if not self._clock.due(time_s):
+            return None
+        return thevenin_from_temps(self._module, module_temps_c, ambient_c)
+
+    def commit(self, time_s: float, decision) -> ArrayConfiguration:
+        """The configuration to apply for a kernel result (INOR or EHTR)."""
+        return decision.config
+
     def decide(
         self, time_s: float, module_temps_c: np.ndarray, ambient_c: float
     ) -> Optional[ArrayConfiguration]:
         """Recompute the configuration whenever the period elapses."""
-        if not self._clock.due(time_s):
+        inputs = self.observe(time_s, module_temps_c, ambient_c)
+        if inputs is None:
             return None
-        emf, res = thevenin_from_temps(self._module, module_temps_c, ambient_c)
+        emf, res = inputs
         if self._algorithm == "inor":
-            return inor(
-                emf, res, charger=self._charger, kernel=self._kernel
-            ).config
-        return ehtr(emf, res).config
+            result = inor(emf, res, charger=self._charger, kernel=self._kernel)
+        else:
+            result = ehtr(emf, res)
+        return self.commit(time_s, result)
 
     def reset(self) -> None:
         """Restart the period clock."""
@@ -240,19 +271,24 @@ class DNORPolicy(ReconfigurationPolicy):
         external epoch runner passes to the planner."""
         return self._current
 
+    @property
+    def history_rows(self) -> int:
+        """Most sensed rows the predictor history keeps."""
+        return self._history.maxlen
+
     def observe(
-        self, time_s: float, module_temps_c: np.ndarray
-    ) -> Optional[Tuple[np.ndarray, int]]:
-        """Record one sensed sample; report when an epoch is due.
+        self, time_s: float, module_temps_c: np.ndarray, ambient_c: float
+    ) -> Optional[Tuple[np.ndarray, float, int]]:
+        """Record one sensed sample; return the epoch's planner inputs.
 
         The sensing half of :meth:`decide`, split out so external
-        epoch runners (the grid-stacked simulation fabric, the
-        streaming hub's micro-batcher) can collect due epochs from many
-        policies and plan them through one stacked
+        epoch runners (the streaming hub) can collect due epochs from
+        many policies and plan them through one stacked
         :func:`~repro.core.dnor.dnor_stack` call.  Returns ``None``
         between epochs; at an epoch boundary, advances the epoch clock
-        and returns ``(history, new_rows)`` — exactly the arguments
-        :meth:`decide` would hand the planner.
+        and returns ``(history, ambient_c, new_rows)`` — exactly the
+        arguments :meth:`decide` hands the planner, frozen at the
+        boundary so planning later sees the same matrices.
         """
         self._history.append(np.asarray(module_temps_c, dtype=float))
         self._rows_since_plan += 1
@@ -261,7 +297,7 @@ class DNORPolicy(ReconfigurationPolicy):
         history = np.vstack(self._history)
         new_rows = self._rows_since_plan
         self._rows_since_plan = 0
-        return history, new_rows
+        return history, ambient_c, new_rows
 
     def commit(
         self, time_s: float, decision: DNORDecision
@@ -269,9 +305,12 @@ class DNORPolicy(ReconfigurationPolicy):
         """Record an epoch decision; return the configuration on switch.
 
         The bookkeeping half of :meth:`decide`: external epoch runners
-        feed back the (stacked or per-lane) planner decision and get
-        the policy's contract answer — the new configuration to apply,
-        or ``None`` to keep.
+        feed back the planner's decision for the epoch :meth:`observe`
+        reported (one-lane or one lane of a ``dnor_stack`` call, planned
+        against :attr:`current_config`) and get the policy's answer —
+        the new configuration to apply, or ``None`` to keep.  Epochs
+        must be committed in the order they were observed, because the
+        next epoch plans against this one's configuration.
         """
         self._timed_decisions.append((time_s, decision))
         if decision.switch:
@@ -283,12 +322,12 @@ class DNORPolicy(ReconfigurationPolicy):
         self, time_s: float, module_temps_c: np.ndarray, ambient_c: float
     ) -> Optional[ArrayConfiguration]:
         """Record the sample; run an epoch decision when one is due."""
-        due = self.observe(time_s, module_temps_c)
-        if due is None:
+        inputs = self.observe(time_s, module_temps_c, ambient_c)
+        if inputs is None:
             return None
-        history, new_rows = due
+        history, ambient, new_rows = inputs
         decision = self._planner.plan(
-            history, ambient_c, self._current, new_rows=new_rows
+            history, ambient, self._current, new_rows=new_rows
         )
         return self.commit(time_s, decision)
 

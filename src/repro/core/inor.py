@@ -171,23 +171,22 @@ def _score_candidates_scalar(
 
     Kept as the ground truth the batched kernel is validated against
     (and for profiling comparisons); returns the winning candidate
-    index, its MPP and its score.  Ties keep the earliest (smallest
-    ``n``) candidate, like the paper's ascending scan.
+    index, its MPP and its score.  The winner follows ``np.argmax``'s
+    rule, as the batched ranking does: the first maximum wins (ties
+    keep the smallest ``n``, like the paper's ascending scan), and a NaN
+    score counts as the maximum, so the first NaN wins.
     """
-    best_index = -1
-    best_score = -math.inf
-    best_mpp: Optional[MPPPoint] = None
+    best = None
     for index, starts in enumerate(candidates):
         mpp = array_mpp(emf, resistance, starts)
         score = (
             charger.delivered_at_mpp(mpp) if charger is not None else mpp.power_w
         )
-        if score > best_score:
-            best_score = score
-            best_index = index
-            best_mpp = mpp
-    assert best_mpp is not None
-    return best_index, best_mpp, float(best_score)
+        if best is None or score > best[2] or math.isnan(score):
+            best = (index, mpp, float(score))
+            if math.isnan(score):
+                break
+    return best
 
 
 def inor(

@@ -1,36 +1,33 @@
 """Cross-session decision micro-batching — layer 6's stacked epochs.
 
 The :class:`SessionHub` holds every live :class:`~repro.serve.session.
-StreamSession` and, once per decision epoch, drains their pending INOR
-rows through :func:`repro.core.inor.inor_stack`: all fired samples from
-all compatible sessions become one ``(rows, N)`` EMF matrix and one
-stacked kernel pass, so K concurrent vehicles cost roughly one INOR
-evaluation per epoch instead of K.  ``inor_stack`` is pinned
-bit-identical per row to the scalar :func:`~repro.core.inor.inor` call
-a standalone :class:`~repro.core.controller.PeriodicPolicy` would make,
-which is what keeps the online decision logs byte-equal to the offline
-batch reference.
+StreamSession`.  A stacked session queues each due epoch's kernel
+inputs — whatever its policy's ``observe`` returned — and once per hub
+epoch :meth:`SessionHub.run_epoch` resolves every queue through one
+group loop (:meth:`SessionHub._run_group`): the kernel runs stacked
+across the group's sessions and each result goes back through
+:meth:`StreamSession.resolve`, i.e. the policy's own ``commit``.
 
-DNOR sessions under nominal compute accounting micro-batch the same
-way, one level up: their due *epochs* queue on the
-session (:attr:`StreamSession.pending_epochs`) and the hub plans them
-in rounds through :func:`repro.core.dnor.dnor_stack` — the r-th pending
-epoch of every compatible session becomes one stacked Algorithm 2 pass.
-Rounds, not one flat batch, because epoch r+1 of a session depends on
-epoch r's committed configuration and predictor-stream refit.
-:meth:`~repro.core.dnor.DNORPlanner.plan` is the one-lane call of
-``dnor_stack`` (the K-lane decisions are pinned equal to it lane for
-lane), which keeps the stacked online log byte-equal to the inline
-one.
+* INOR epochs are independent, so a group takes *every* pending epoch
+  in one :func:`repro.core.inor.inor_stack` pass: K concurrent
+  vehicles cost roughly one INOR evaluation per hub epoch instead of
+  K.  ``inor_stack`` is pinned bit-identical per row to the
+  :func:`~repro.core.inor.inor` call
+  :class:`~repro.core.controller.PeriodicPolicy` makes.
+* DNOR epochs chain — epoch r+1 plans against epoch r's committed
+  configuration and predictor-stream refit — so a group takes *one*
+  epoch per session per round through :func:`repro.core.dnor.dnor_stack`
+  (:meth:`~repro.core.dnor.DNORPlanner.plan` is its one-lane call).
 
-Sessions stack only when their decision inputs are interchangeable —
-one :func:`~repro.sim.gridstack.stack_key`, the core of gridstack's
-fused-group key: same module electrical identity, array size and
-converter curve (plus, for DNOR, the same horizon geometry).
-Incompatible sessions still work; they just land in separate groups
-(each its own stacked pass).  Inline-policy sessions (EHTR, Baseline,
-scalar-kernel INOR, measured-compute DNOR) never queue pending work
-and pass through the hub untouched.
+That keeps the online decision logs byte-equal to the offline batch
+reference.  Sessions stack only when their decision inputs are
+interchangeable — one :func:`~repro.sim.gridstack.stack_key`, the core
+of gridstack's fused-group key: same policy, module electrical identity,
+array size and converter curve (plus, for DNOR, the same horizon
+geometry).  Incompatible sessions still work; they just land in separate
+groups (each its own stacked pass).  Inline-policy sessions (EHTR,
+Baseline, scalar-kernel INOR, measured-compute DNOR) never queue pending
+work and pass through the hub untouched.
 """
 
 from __future__ import annotations
@@ -112,30 +109,23 @@ class SessionHub:
 
     # ------------------------------------------------------------------
     def run_epoch(self) -> Dict[str, List[DecisionRecord]]:
-        """Resolve every pending row and epoch across all sessions.
+        """Resolve every pending epoch across all sessions.
 
-        Groups sessions by stacking identity, runs one ``inor_stack``
-        pass per INOR group over the concatenated pending EMF rows, and
-        dispatches each row's winning configuration back to its session
-        in queue order.  Pending DNOR epochs resolve in *rounds* per
-        group — see :meth:`_run_dnor_rounds`.  Returns the newly
-        emitted records keyed by session id (sessions with nothing
-        pending, or whose epochs all kept the current configuration,
-        are omitted).
+        Groups sessions by stacking identity and drains each group
+        through :meth:`_run_group`.  Returns the newly emitted records
+        keyed by session id (sessions with nothing pending, or whose
+        epochs all kept the current configuration, are omitted).
         """
         groups: Dict[Tuple, List[StreamSession]] = {}
         for session in self._sessions.values():
-            if session.pending or session.pending_epochs:
+            if session.pending:
                 groups.setdefault(
                     stack_key(session.scenario, session.policy_name), []
                 ).append(session)
         self._stats.epochs += 1
         emitted: Dict[str, List[DecisionRecord]] = {}
-        for key, members in groups.items():
-            if key[0] == "DNOR":
-                emitted.update(self._run_dnor_rounds(members))
-            else:
-                emitted.update(self._run_inor_group(members))
+        for members in groups.values():
+            emitted.update(self._run_group(members))
         return emitted
 
     def _count_pass(self, rows: int, sessions: int) -> None:
@@ -148,82 +138,59 @@ class SessionHub:
             stats.max_sessions_per_pass, sessions
         )
 
-    def _run_inor_group(
+    def _run_group(
         self, members: List[StreamSession]
     ) -> Dict[str, List[DecisionRecord]]:
-        """Resolve the members' pending INOR rows in one stacked pass.
+        """Drain one stack group's pending epochs in stacked passes.
 
-        The members share one :func:`~repro.sim.gridstack.stack_key`;
-        their pending EMF rows are concatenated in queue order, decided
-        by one ``inor_stack`` call, and each row's winning configuration
-        goes back to its session.
+        The members share one :func:`~repro.sim.gridstack.stack_key`.
+        Each pass decides the live members' epochs in one kernel call
+        and resolves them in queue order: an INOR pass takes every
+        pending epoch (so an INOR group is one pass), a DNOR pass the
+        head epoch of each member, because epoch ``r+1`` depends on
+        epoch ``r``'s commit and on the predictor-stream mutations its
+        plan performs.  ``dnor_stack`` takes no time argument, so lanes
+        whose epochs fired at different stream times stack safely.
         """
-        scenario = members[0].scenario
-        emf_rows = np.vstack([p.emf_row for s in members for p in s.pending])
-        # Same Thevenin arithmetic as PeriodicPolicy's scalar path:
-        # the module model's nominal chain resistance.
-        resistance = np.full(
-            int(scenario.n_modules), scenario.module.internal_resistance()
-        )
-        charger = scenario.make_charger(with_battery=False)
-        results = inor_stack(emf_rows, resistance, charger=charger)
-        self._count_pass(emf_rows.shape[0], len(members))
-        emitted: Dict[str, List[DecisionRecord]] = {}
-        offset = 0
-        for session in members:
-            count = len(session.pending)
-            starts = [
-                tuple(int(v) for v in results[offset + j].config.starts)
-                for j in range(count)
-            ]
-            offset += count
-            emitted[session.session_id] = session.resolve_pending(starts)
-        return emitted
-
-    def _run_dnor_rounds(
-        self, members: List[StreamSession]
-    ) -> Dict[str, List[DecisionRecord]]:
-        """Drain the members' pending DNOR epochs in stacked rounds.
-
-        Round ``r`` plans the r-th pending epoch of every member that
-        still has one through a single :func:`dnor_stack` call and
-        commits each lane's decision back to its session.  Sequencing
-        by rounds is mandatory: epoch ``r+1`` depends on epoch ``r``'s
-        committed configuration and on the predictor-stream mutations
-        its plan performs.  ``dnor_stack`` takes no time argument, so
-        lanes whose epochs fired at different stream times stack
-        safely.
-        """
+        dnor = members[0].policy_name == "DNOR"
         emitted: Dict[str, List[DecisionRecord]] = {}
         while True:
-            live = [s for s in members if s.pending_epochs]
+            live = [s for s in members if s.pending]
             if not live:
                 return emitted
-            heads = [s.pending_epochs[0] for s in live]
-            decisions = dnor_stack(
-                [s.dnor_planner for s in live],
-                [p.history for p in heads],
-                np.array([p.ambient_c for p in heads]),
-                [s.dnor_current for s in live],
-                new_rows=[p.new_rows for p in heads],
-            )
-            self._count_pass(len(live), len(live))
-            for session, decision in zip(live, decisions):
-                record = session.resolve_next_epoch(decision)
-                if record is not None:
-                    emitted.setdefault(session.session_id, []).append(record)
+            if dnor:
+                counts = [1] * len(live)
+                heads = [s.pending[0].inputs for s in live]
+                decisions = dnor_stack(
+                    [s.policy.planner for s in live],
+                    [history for history, _, _ in heads],
+                    np.array([ambient for _, ambient, _ in heads]),
+                    [s.policy.current_config for s in live],
+                    new_rows=[new_rows for _, _, new_rows in heads],
+                )
+            else:
+                counts = [len(s.pending) for s in live]
+                epochs = [p.inputs for s in live for p in s.pending]
+                decisions = inor_stack(
+                    np.vstack([emf for emf, _ in epochs]),
+                    epochs[0][1],
+                    charger=live[0].policy.charger,
+                )
+            self._count_pass(len(decisions), len(live))
+            offset = 0
+            for session, count in zip(live, counts):
+                records = session.resolve(decisions[offset : offset + count])
+                offset += count
+                if records:
+                    emitted.setdefault(session.session_id, []).extend(records)
 
     def drain(self, session_id: str) -> List[DecisionRecord]:
-        """Resolve one session's pendings (used when a session closes).
+        """Resolve one session's pending epochs (used when it closes).
 
-        Still goes through the stacked kernel (a single-session pass) so
-        the decision arithmetic is identical to a full epoch.
+        Still goes through the stacked kernel (a single-session group)
+        so the decision arithmetic is identical to a full epoch.
         """
         session = self.get(session_id)
-        if session.pending_epochs:
-            emitted = self._run_dnor_rounds([session])
-        elif session.pending:
-            emitted = self._run_inor_group([session])
-        else:
+        if not session.pending:
             return []
-        return emitted.get(session.session_id, [])
+        return self._run_group([session]).get(session.session_id, [])

@@ -301,7 +301,7 @@ class StreamServer:
                 decoded.get("coolant_flow_sensed_kg_s"),
             )
             await self._send_decisions(session.session_id, inline_records)
-            if session.pending or session.pending_epochs:
+            if session.pending:
                 self._schedule_epoch()
         elif op == "close":
             session_id = str(request["session"])

@@ -10,17 +10,17 @@ be decided online exactly as the offline batch engine would decide it:
   calls on one persisted generator draw exactly the doubles a single
   whole-trace batch draw would (C-order fill of the bit stream, pinned
   in the stream parity suite),
-* either an inline policy object (EHTR / Baseline / scalar-kernel
-  INOR — stateful, driven sample by sample) or a queue of *pending*
-  decision work that the :class:`~repro.serve.hub.SessionHub` resolves
-  in stacked kernel passes across every concurrent session: for
-  batched-kernel INOR, the replica of
-  :class:`~repro.core.controller.PeriodicPolicy`'s period gating plus
-  pending EMF rows; for DNOR under nominal compute accounting, the
-  :meth:`~repro.core.controller.DNORPolicy.observe` /
-  :meth:`~repro.core.controller.DNORPolicy.commit` split plus pending
-  *epochs* that the hub plans through
-  :func:`~repro.core.dnor.dnor_stack`.
+* the session's policy, built by :meth:`Scenario.make_policy`.  Inline
+  sessions (EHTR, Baseline, scalar-kernel INOR, measured-compute DNOR)
+  call its ``decide`` sample by sample.  Stacked sessions (batched-
+  kernel INOR, nominal-compute DNOR) split that call: the policy's own
+  ``observe`` gates each sample, and every due epoch's kernel inputs
+  queue as a :class:`PendingEpoch` (:attr:`StreamSession.pending`);
+  the :class:`~repro.serve.hub.SessionHub` decides the queued epochs of
+  every concurrent session in stacked kernel passes and hands the
+  results back through :meth:`StreamSession.resolve`, which commits
+  them through the policy's ``commit``.  Sense, decide and commit are
+  the policy's own code either way.
 
 The emitted decision log — one :class:`DecisionRecord` per applied
 configuration — is byte-identical to :func:`offline_decision_log` run
@@ -32,12 +32,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.controller import EpochClock
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import SimulationError
 from repro.sim.physics import TracePhysics, TracePhysicsStream
 from repro.sim.scenario import Scenario
 
@@ -95,44 +94,27 @@ def write_decision_log(records: Sequence[DecisionRecord], path) -> None:
             handle.write(record.to_json_line() + "\n")
 
 
-def _make_policy(scenario: Scenario, policy: str, dnor_refit: str):
-    if policy == "INOR":
-        return scenario.make_inor_policy()
-    if policy == "EHTR":
-        return scenario.make_ehtr_policy()
-    if policy == "DNOR":
-        return scenario.make_dnor_policy(refit=dnor_refit)
-    if policy == "Baseline":
-        return scenario.make_baseline_policy()
-    raise ConfigurationError(
-        f"unknown policy {policy!r} (expected INOR/EHTR/DNOR/Baseline)"
+def _record(index: int, time_s: float, config) -> DecisionRecord:
+    """The log record of an applied configuration."""
+    starts = tuple(int(s) for s in config.starts)
+    return DecisionRecord(
+        index=index, time_s=time_s, starts=starts, n_groups=len(starts)
     )
 
 
 @dataclass(frozen=True)
-class PendingDecision:
-    """A fired INOR sample awaiting the hub's stacked kernel pass."""
-
-    index: int
-    time_s: float
-    emf_row: np.ndarray
-
-
-@dataclass(frozen=True)
 class PendingEpoch:
-    """A due DNOR epoch awaiting the hub's stacked planning pass.
+    """A due epoch awaiting the hub's stacked kernel pass.
 
-    Exactly the arguments :meth:`DNORPolicy.decide` would hand its
-    planner, captured at the epoch boundary — the history snapshot and
-    incremental-refit row count are frozen here, so planning later (in
-    the hub's round) sees the same matrices the inline path would.
+    ``inputs`` is what the policy's ``observe`` returned at the epoch
+    boundary — ``(emf, resistance)`` for INOR, ``(history, ambient_c,
+    new_rows)`` for DNOR — frozen there, so deciding it later (in the
+    hub's pass) sees exactly what the inline ``decide`` would have.
     """
 
     index: int
     time_s: float
-    ambient_c: float
-    history: np.ndarray
-    new_rows: int
+    inputs: tuple
 
 
 class StreamSession:
@@ -147,8 +129,10 @@ class StreamSession:
         columns arrive at runtime, via :meth:`feed`.
     policy:
         Scheme name — ``"INOR"`` (micro-batched through the hub when
-        the scenario's kernel is batched), ``"DNOR"``, ``"EHTR"`` or
-        ``"Baseline"`` (driven inline).
+        the scenario's kernel is batched), ``"DNOR"`` (micro-batched
+        under nominal compute accounting), ``"EHTR"`` or ``"Baseline"``
+        (driven inline).  An unknown name raises
+        :class:`~repro.errors.ConfigurationError`.
     session_id:
         Stable identifier used in logs and server events.
     dnor_refit:
@@ -171,32 +155,18 @@ class StreamSession:
         )
         self._scanner = scenario.make_scanner()
         self._scanner.reset()
-        self._inor_stacked = (
+        self._policy = scenario.make_policy(policy, refit=dnor_refit)
+        self._policy.reset()
+        # Stacked sessions need a stacked kernel bit-identical to the
+        # inline one: batched-kernel INOR, and DNOR under deterministic
+        # (nominal) compute accounting.  The rest decide inline.
+        self._stacked = (
             policy == "INOR" and scenario.inor_kernel == "batched"
-        )
-        # DNOR micro-batching needs the stacked epoch kernel's fused
-        # contract: deterministic (nominal) compute accounting.
-        # Measured-compute sessions stay inline.
-        self._dnor_stacked = (
-            policy == "DNOR" and scenario.nominal_compute_s is not None
-        )
-        if self._inor_stacked:
-            self._policy = None
-            self._charger = scenario.make_charger(with_battery=False)
-            module = scenario.module
-            self._emf_coef = module.emf_coefficient()
-            self._resistance = np.full(
-                int(scenario.n_modules), module.internal_resistance()
-            )
-            self._clock = EpochClock(scenario.control_period_s)
-        else:
-            self._policy = _make_policy(scenario, policy, dnor_refit)
-            self._policy.reset()
+        ) or (policy == "DNOR" and scenario.nominal_compute_s is not None)
         self._sample_index = 0
         self._last_time_s = -np.inf
         self._records: List[DecisionRecord] = []
-        self._pending: List[PendingDecision] = []
-        self._pending_epochs: List[PendingEpoch] = []
+        self._pending: List[PendingEpoch] = []
 
     # ------------------------------------------------------------------
     @property
@@ -210,9 +180,15 @@ class StreamSession:
         return self._policy_name
 
     @property
+    def policy(self):
+        """The session's policy object (the hub reads its kernel state:
+        the INOR charger, the DNOR planner and current configuration)."""
+        return self._policy
+
+    @property
     def micro_batched(self) -> bool:
         """Whether decisions go through the hub's stacked kernel pass."""
-        return self._inor_stacked or self._dnor_stacked
+        return self._stacked
 
     @property
     def n_samples_seen(self) -> int:
@@ -225,26 +201,9 @@ class StreamSession:
         return tuple(self._records)
 
     @property
-    def pending(self) -> Tuple[PendingDecision, ...]:
-        """Fired INOR samples awaiting the next hub epoch."""
+    def pending(self) -> Tuple[PendingEpoch, ...]:
+        """Due epochs awaiting the hub, oldest first."""
         return tuple(self._pending)
-
-    @property
-    def pending_epochs(self) -> Tuple[PendingEpoch, ...]:
-        """Due DNOR epochs awaiting the hub's stacked planning rounds."""
-        return tuple(self._pending_epochs)
-
-    @property
-    def dnor_planner(self):
-        """The session's :class:`~repro.core.dnor.DNORPlanner` (the
-        per-lane state the hub hands to ``dnor_stack``)."""
-        return self._policy.planner
-
-    @property
-    def dnor_current(self):
-        """The DNOR policy's durable configuration (``None`` before
-        the first adoption)."""
-        return self._policy.current_config
 
     # ------------------------------------------------------------------
     def feed(
@@ -260,10 +219,9 @@ class StreamSession:
         """Consume one telemetry chunk (matching 1-D columns).
 
         Inline-policy sessions return the decisions fired inside the
-        chunk immediately; micro-batched sessions queue pending work —
-        INOR decision rows (:attr:`pending`) or DNOR epochs
-        (:attr:`pending_epochs`) — and return ``[]``; their records
-        arrive when the hub runs its next stacked epoch.
+        chunk immediately; micro-batched sessions queue their due epochs
+        (:attr:`pending`) and return ``[]``; their records arrive when
+        the hub runs its next stacked epoch.
 
         A malformed chunk raises :class:`~repro.errors.SimulationError`
         before any session state changes, so the session can go on with
@@ -290,45 +248,15 @@ class StreamSession:
             index = self._sample_index + j
             t = float(times[j])
             amb = float(ambient[j])
-            if self._inor_stacked:
-                # The same epoch gate PeriodicPolicy runs.
-                if not self._clock.due(t):
-                    continue
-                self._pending.append(
-                    PendingDecision(
-                        index=index,
-                        time_s=t,
-                        emf_row=self._emf_coef * (scanned[j] - amb),
-                    )
-                )
-            elif self._dnor_stacked:
-                # DNORPolicy's own epoch gating; the history snapshot
-                # and refit row count are frozen at the boundary, so
-                # the hub's later stacked plan sees exactly what the
-                # inline decide() would have seen.
-                due = self._policy.observe(t, scanned[j])
-                if due is not None:
-                    history, n_new = due
-                    self._pending_epochs.append(
-                        PendingEpoch(
-                            index=index,
-                            time_s=t,
-                            ambient_c=amb,
-                            history=history,
-                            new_rows=n_new,
-                        )
-                    )
+            if self._stacked:
+                inputs = self._policy.observe(t, scanned[j], amb)
+                if inputs is not None:
+                    self._pending.append(PendingEpoch(index, t, inputs))
             else:
-                decision = self._policy.decide(t, scanned[j], amb)
-                if decision is not None:
-                    record = DecisionRecord(
-                        index=index,
-                        time_s=t,
-                        starts=tuple(int(s) for s in decision.starts),
-                        n_groups=len(decision.starts),
-                    )
-                    self._records.append(record)
-                    emitted.append(record)
+                config = self._policy.decide(t, scanned[j], amb)
+                if config is not None:
+                    emitted.append(_record(index, t, config))
+        self._records.extend(emitted)
         self._sample_index += times.size
         self._last_time_s = float(times[-1])
         return emitted
@@ -381,57 +309,33 @@ class StreamSession:
             trace.coolant_flow_sensed_kg_s[lo:hi],
         )
 
-    def resolve_pending(
-        self, starts_per_row: Sequence[Tuple[int, ...]]
-    ) -> List[DecisionRecord]:
-        """Apply stacked-kernel winners to the queued pending rows.
+    def resolve(self, decisions: Sequence) -> List[DecisionRecord]:
+        """Commit kernel decisions for the oldest pending epochs.
 
-        Called by the hub with one starts tuple per pending row, in
-        queue order.  Returns (and stores) the new records.
+        Called by the hub with one kernel result per epoch, for the
+        first ``len(decisions)`` pending epochs in queue order: all of
+        them for INOR (independent epochs), the head one per round for
+        DNOR (each epoch plans against the previous one's commit).
+        Each goes through the policy's ``commit``; returns (and stores)
+        the records of the configurations it applies.  A decision count
+        of zero or more than :attr:`pending` raises
+        :class:`~repro.errors.SimulationError` before any state changes.
         """
-        if len(starts_per_row) != len(self._pending):
+        count = len(decisions)
+        if not 0 < count <= len(self._pending):
             raise SimulationError(
-                f"{len(starts_per_row)} winner rows for "
-                f"{len(self._pending)} pending decisions"
+                f"session {self.session_id!r}: {count} decisions for "
+                f"{len(self._pending)} pending epochs"
             )
+        epochs = self._pending[:count]
+        del self._pending[:count]
         emitted: List[DecisionRecord] = []
-        for pending, starts in zip(self._pending, starts_per_row):
-            record = DecisionRecord(
-                index=pending.index,
-                time_s=pending.time_s,
-                starts=tuple(int(s) for s in starts),
-                n_groups=len(starts),
-            )
-            self._records.append(record)
-            emitted.append(record)
-        self._pending = []
+        for epoch, decision in zip(epochs, decisions):
+            config = self._policy.commit(epoch.time_s, decision)
+            if config is not None:
+                emitted.append(_record(epoch.index, epoch.time_s, config))
+        self._records.extend(emitted)
         return emitted
-
-    def resolve_next_epoch(self, decision) -> Optional[DecisionRecord]:
-        """Commit the stacked planner's decision for the head epoch.
-
-        Called by the hub once per planning *round* with this session's
-        lane decision from :func:`~repro.core.dnor.dnor_stack`.  Pops
-        the oldest pending epoch, feeds the decision through
-        :meth:`~repro.core.controller.DNORPolicy.commit`, and returns
-        the new record on a switch (``None`` on keep).
-        """
-        if not self._pending_epochs:
-            raise SimulationError(
-                f"session {self.session_id!r} has no pending epoch to resolve"
-            )
-        pending = self._pending_epochs.pop(0)
-        config = self._policy.commit(pending.time_s, decision)
-        if config is None:
-            return None
-        record = DecisionRecord(
-            index=pending.index,
-            time_s=pending.time_s,
-            starts=tuple(int(s) for s in config.starts),
-            n_groups=len(config.starts),
-        )
-        self._records.append(record)
-        return record
 
 
 def offline_decision_log(
@@ -453,20 +357,13 @@ def offline_decision_log(
     scanner = scenario.make_scanner()
     scanner.reset()
     scanned = scanner.scan_batch(physics.sensed_temps_c)
-    policy_obj = _make_policy(scenario, policy, dnor_refit)
+    policy_obj = scenario.make_policy(policy, refit=dnor_refit)
     policy_obj.reset()
     trace = scenario.trace
     records: List[DecisionRecord] = []
     for i in range(trace.n_samples):
         t = float(trace.time_s[i])
-        decision = policy_obj.decide(t, scanned[i], float(trace.ambient_c[i]))
-        if decision is not None:
-            records.append(
-                DecisionRecord(
-                    index=i,
-                    time_s=t,
-                    starts=tuple(int(s) for s in decision.starts),
-                    n_groups=len(decision.starts),
-                )
-            )
+        config = policy_obj.decide(t, scanned[i], float(trace.ambient_c[i]))
+        if config is not None:
+            records.append(_record(i, t, config))
     return records

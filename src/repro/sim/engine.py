@@ -56,7 +56,7 @@ class ExperimentCase:
         scenario also pins ``nominal_compute_s`` (registry scenarios
         do), within measured-runtime jitter otherwise.
     policy:
-        Scheme name, a key of :meth:`Scenario.make_policies`
+        Scheme name, one of :data:`~repro.sim.scenario.POLICY_NAMES`
         (``"DNOR"``, ``"INOR"``, ``"EHTR"``, ``"Baseline"``).
     with_battery:
         Whether the charger carries a battery sink.
@@ -127,21 +127,17 @@ def run_case(
     results — the precompute is a pure function of the scenario and
     cached entries are bit-identical to fresh ones.
     """
-    policies = case.scenario.make_policies()
-    if case.policy not in policies:
-        raise SimulationError(
-            f"unknown policy {case.policy!r} for case {case.name!r} "
-            f"(available: {', '.join(policies)})"
-        )
     cache = (
         _worker_cache(cache_dir)
         if physics is None and cache_dir is not None
         else None
     )
     try:
+        # The policy first: an unknown name fails before any physics.
+        policy = case.scenario.make_policy(case.policy)
         simulator = case.scenario.make_simulator(physics=physics, cache=cache)
         charger = case.scenario.make_charger(with_battery=case.with_battery)
-        return simulator.run(policies[case.policy], charger)
+        return simulator.run(policy, charger)
     except Exception as exc:
         # Name the failing cell: a pooled or sharded grid surfaces the
         # worker's traceback far from the submission site, and without

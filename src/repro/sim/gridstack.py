@@ -51,7 +51,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.controller import EpochClock
-from repro.core.dnor import dnor_stack
+from repro.core.dnor import dnor_stack, thevenin_from_temps
 from repro.core.inor import _inor_stack_raw
 from repro.errors import SimulationError
 from repro.sim.results import SimulationResult
@@ -167,19 +167,17 @@ def _run_inor_group(cases: Sequence, physics) -> List[SimulationResult]:
     scanned = _scan_group(cases, physics)
     nominal = [case.scenario.nominal_compute_s for case in cases]
 
-    # Thevenin map constants (thevenin_from_temps, batched over cases).
-    emf_coef = module.emf_coefficient()
-    decision_resistance = np.full(n_modules, module.internal_resistance())
-
     ledger = EpochLedger(n_cases, n_modules, trace.n_samples)
     case_index = np.arange(n_cases)
     for i in _decision_schedule(trace.time_s, scenario0.control_period_s):
         ambient = float(trace.ambient_c[i])
         # One stacked Thevenin + INOR pass decides every case at once.
-        emf_rows = emf_coef * (scanned[:, i, :] - ambient)
+        emf_rows, resistance = thevenin_from_temps(
+            module, scanned[:, i, :], ambient
+        )
         t0 = time.perf_counter()
         stack, _, _, _, _, winners, _, _ = _inor_stack_raw(
-            emf_rows, decision_resistance, rank_charger
+            emf_rows, resistance[0], rank_charger
         )
         ledger.runtimes[:, i] = (time.perf_counter() - t0) / n_cases
 
@@ -211,7 +209,7 @@ def _run_dnor_group(cases: Sequence, physics) -> List[SimulationResult]:
     n_cases = len(cases)
     policies = [case.scenario.make_dnor_policy() for case in cases]
     planners = [policy.planner for policy in policies]
-    caps = [policy._history.maxlen for policy in policies]
+    caps = [policy.history_rows for policy in policies]
     scanned = _scan_group(cases, physics)
     nominal = [case.scenario.nominal_compute_s for case in cases]
 

@@ -82,6 +82,9 @@ from repro.vehicle.trace import (
 #: version loads; any other is refused with a message naming it.
 SCENARIO_FORMAT_VERSION = 3
 
+#: The four schemes of the paper's Table I, in table order.
+POLICY_NAMES = ("DNOR", "INOR", "EHTR", "Baseline")
+
 #: Trace columns serialised into the JSON form (every array field).
 _TRACE_COLUMNS = (
     "time_s",
@@ -378,14 +381,31 @@ class Scenario:
         """The static sqrt(N) x sqrt(N) grid baseline."""
         return StaticPolicy(grid_for_square_array(self.n_modules))
 
+    def make_policy(
+        self, name: str, refit: str = "full"
+    ) -> ReconfigurationPolicy:
+        """One scheme by its Table I name (``refit`` applies to DNOR).
+
+        Raises
+        ------
+        ConfigurationError
+            If ``name`` is not one of the four schemes.
+        """
+        if name == "DNOR":
+            return self.make_dnor_policy(refit=refit)
+        if name == "INOR":
+            return self.make_inor_policy()
+        if name == "EHTR":
+            return self.make_ehtr_policy()
+        if name == "Baseline":
+            return self.make_baseline_policy()
+        raise ConfigurationError(
+            f"unknown policy {name!r} (expected {'/'.join(POLICY_NAMES)})"
+        )
+
     def make_policies(self) -> Dict[str, ReconfigurationPolicy]:
         """All four schemes, keyed by their Table I names."""
-        return {
-            "DNOR": self.make_dnor_policy(),
-            "INOR": self.make_inor_policy(),
-            "EHTR": self.make_ehtr_policy(),
-            "Baseline": self.make_baseline_policy(),
-        }
+        return {name: self.make_policy(name) for name in POLICY_NAMES}
 
 
 def default_scenario(

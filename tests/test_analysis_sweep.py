@@ -43,3 +43,13 @@ class TestSweepScenario:
     def test_unknown_scheme_rejected(self):
         with pytest.raises(SimulationError, match="MAGIC"):
             sweep_scenario(factory, values=(1.0,), schemes=("MAGIC",))
+
+    def test_array_size_sweep_needs_no_square_baseline(self):
+        """Only the requested schemes are built, so a non-square array
+        size sweeps INOR without tripping the square Baseline."""
+        points = sweep_scenario(
+            lambda n: default_scenario(duration_s=6.0, seed=4, n_modules=int(n)),
+            values=(10.0,),
+            schemes=("INOR",),
+        )
+        assert points[0].results["INOR"].scheme == "INOR"

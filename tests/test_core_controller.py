@@ -5,11 +5,15 @@ import pytest
 
 from repro.core.baseline import grid_for_square_array
 from repro.core.controller import DNORPolicy, PeriodicPolicy, StaticPolicy
-from repro.core.dnor import DNORPlanner
+from repro.core.dnor import DNORPlanner, thevenin_from_temps
+from repro.core.ehtr import ehtr
+from repro.core.inor import inor
 from repro.core.overhead import SwitchingOverheadModel
 from repro.errors import ConfigurationError
 from repro.power.charger import TEGCharger
 from repro.prediction.mlr import MLRPredictor
+from repro.sim.physics import TracePhysics
+from repro.sim.scenario import POLICY_NAMES, build_named_scenario, default_registry
 from repro.teg.datasheet import TGM_199_1_4_0_8
 
 
@@ -137,3 +141,89 @@ class TestDNORPolicy:
         planner = self.make_policy().planner
         with pytest.raises(ConfigurationError):
             DNORPolicy(planner, history_rows=1)
+
+    def test_history_rows(self):
+        planner = self.make_policy().planner
+        assert DNORPolicy(planner, history_rows=7).history_rows == 7
+        assert DNORPolicy(planner).history_rows == 360
+
+
+def _sensed_scenario(name):
+    """A short registry scenario and its whole-trace sensed temps."""
+    scenario = build_named_scenario(name, duration_s=8.0, n_modules=9)
+    physics = TracePhysics.compute(
+        scenario.trace, scenario.boundary, scenario.module, scenario.n_modules
+    )
+    scanner = scenario.make_scanner()
+    scanner.reset()
+    return scenario, scanner.scan_batch(physics.sensed_temps_c)
+
+
+def _kernel(scenario, policy, inputs):
+    """The kernel call each policy's ``decide`` makes on its inputs."""
+    if policy.name == "INOR":
+        return inor(
+            *inputs, charger=policy.charger, kernel=scenario.inor_kernel
+        )
+    if policy.name == "EHTR":
+        return ehtr(*inputs)
+    history, ambient, new_rows = inputs
+    return policy.planner.plan(
+        history, ambient, policy.current_config, new_rows=new_rows
+    )
+
+
+class TestObserveCommitSplit:
+    """``decide`` is exactly ``observe`` -> kernel -> ``commit``: the
+    split the streaming hub drives, sample for sample."""
+
+    @pytest.mark.parametrize("name", default_registry().names())
+    def test_decide_equals_observe_kernel_commit(self, name):
+        scenario, scanned = _sensed_scenario(name)
+        trace = scenario.trace
+        for scheme in ("INOR", "EHTR", "DNOR"):
+            whole = scenario.make_policy(scheme)
+            split = scenario.make_policy(scheme)
+            fired = 0
+            for i in range(trace.n_samples):
+                t = float(trace.time_s[i])
+                ambient = float(trace.ambient_c[i])
+                want = whole.decide(t, scanned[i], ambient)
+                inputs = split.observe(t, scanned[i], ambient)
+                if inputs is None:
+                    assert want is None, (name, scheme, i)
+                    continue
+                fired += 1
+                got = split.commit(t, _kernel(scenario, split, inputs))
+                assert got == want, (name, scheme, i)
+            assert fired >= 2, (name, scheme)
+
+    def test_periodic_observe_is_the_thevenin_map(self):
+        policy = PeriodicPolicy(TGM_199_1_4_0_8, "inor")
+        temps = gradient_temps()
+        emf, res = policy.observe(0.0, temps, 25.0)
+        want_emf, want_res = thevenin_from_temps(TGM_199_1_4_0_8, temps, 25.0)
+        assert np.array_equal(emf, want_emf)
+        assert np.array_equal(res, want_res)
+        assert policy.observe(0.1, temps, 25.0) is None
+
+
+class TestMakePolicy:
+    def test_names_match_make_policies(self):
+        scenario = build_named_scenario("porter-ii", duration_s=2.0, n_modules=9)
+        policies = scenario.make_policies()
+        assert tuple(policies) == POLICY_NAMES
+        for name in POLICY_NAMES:
+            policy = scenario.make_policy(name)
+            assert type(policy) is type(policies[name])
+            assert policy.name == name
+
+    def test_dnor_refit_passes_through(self):
+        scenario = build_named_scenario("porter-ii", duration_s=2.0, n_modules=9)
+        policy = scenario.make_policy("DNOR", refit="incremental")
+        assert policy.planner.refit == "incremental"
+
+    def test_unknown_name_raises(self):
+        scenario = build_named_scenario("porter-ii", duration_s=2.0, n_modules=9)
+        with pytest.raises(ConfigurationError, match="unknown policy 'FOO'"):
+            scenario.make_policy("FOO")

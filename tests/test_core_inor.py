@@ -1,5 +1,8 @@
 """Tests for repro.core.inor — Algorithm 1."""
 
+import importlib
+import struct
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,12 @@ from repro.errors import ConfigurationError
 from repro.power.charger import TEGCharger
 from repro.power.converter import BuckBoostConverter
 from repro.teg.network import PartitionSet, partition_multi
+
+inor_module = importlib.import_module("repro.core.inor")
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
 
 
 class TestGreedyPartition:
@@ -397,6 +406,51 @@ class TestBatchedKernel:
         emf = np.linspace(2.0, 0.5, 16)
         res = np.full(16, 0.9)
         assert inor(emf, res) == inor(emf, res, kernel="batched")
+
+    def test_scalar_nan_row_without_charger_matches_batched(self):
+        """A NaN module EMF makes every candidate's raw MPP power NaN;
+        the scalar loop ranks it like ``np.argmax`` (first NaN wins),
+        so it returns ``n_min`` as the batched kernel does."""
+        emf = np.array([np.nan, -1.0, 2.0, 3.0])
+        res = np.ones(4)
+        scalar = inor(emf, res, kernel="scalar")
+        batched = inor(emf, res)
+        assert scalar.config == batched.config
+        assert scalar.config.n_groups == scalar.n_range[0]
+        assert np.isnan(scalar.delivered_power_w)
+        assert np.isnan(batched.delivered_power_w)
+
+    @pytest.mark.parametrize(
+        "scores",
+        [
+            [1.0, 3.0, 3.0, 2.0],
+            [1.0, np.nan, 3.0, np.nan],
+            [np.nan, 5.0],
+            [-np.inf, -np.inf, -np.inf],
+            [-np.inf, 0.0, np.nan],
+            [0.0, 0.0],
+        ],
+    )
+    def test_scalar_ranking_follows_argmax(self, scores):
+        """First maximum wins and a NaN counts as the maximum."""
+
+        class ScriptedCharger:
+            def __init__(self):
+                self.calls = iter(scores)
+
+            def delivered_at_mpp(self, mpp):
+                return next(self.calls)
+
+        emf = np.linspace(2.0, 1.0, len(scores))
+        candidates = [
+            np.arange(n, dtype=np.int64) for n in range(1, len(scores) + 1)
+        ]
+        index, _, score = inor_module._score_candidates_scalar(
+            emf, np.ones(len(scores)), candidates, ScriptedCharger()
+        )
+        want = int(np.argmax(np.array(scores)))
+        assert index == want
+        assert _bits(score) == _bits(scores[want])
 
 
 def _build_with_kernel(target, kernel):

@@ -73,9 +73,9 @@ def emf_row(draw, n, kind=None):
 
 
 @st.composite
-def chain(draw, kinds=ROW_KINDS, max_size=36):
-    n = draw(st.integers(2, max_size))
-    row = draw(emf_row(n, draw(st.sampled_from(kinds))))
+def chain(draw):
+    n = draw(st.integers(2, 36))
+    row = draw(emf_row(n))
     res = np.full(n, draw(st.floats(0.3, 3.0)))
     if draw(st.booleans()):
         res = res * (1.0 + np.asarray(
@@ -96,13 +96,6 @@ def _charger(quiescent_w=None):
     if quiescent_w is None:
         return TEGCharger()
     return TEGCharger(converter=BuckBoostConverter(quiescent_power_w=quiescent_w))
-
-
-#: Row kinds the scalar reference can rank *without a charger*: it
-#: scores a NaN row's raw MPP power NaN on every candidate and finds no
-#: maximum.  With a charger a NaN power delivers 0.0 W, so the charger
-#: comparisons draw every kind.
-FINITE_KINDS = ("all_negative", "mixed_dead", "weak", "live")
 
 
 class TestInorAgainstFullPass:
@@ -158,7 +151,7 @@ class TestInorAgainstFullPass:
         want = inor(emf, res, charger=charger, kernel="scalar")
         assert_same_result(got, want)
 
-    @given(chain(kinds=FINITE_KINDS))
+    @given(chain())
     @settings(max_examples=60, deadline=None)
     def test_no_charger(self, case):
         emf, res = case

@@ -6,8 +6,9 @@ are **bit-identical** to the offline batch engine run over the complete
 trace.  Pinned per registry scenario and chunk size for INOR (the
 stacked-kernel path) and for DNOR under both refit modes (epoch
 micro-batching through ``dnor_stack`` rounds), plus the 64-session
-single-stacked-pass scaling pin, the multi-session DNOR round pin and
-the asyncio TCP front-end end to end.
+single-stacked-pass scaling pin, the multi-session DNOR round pin, a
+hub holding INOR and DNOR sessions together, and the asyncio TCP
+front-end end to end.
 """
 
 import asyncio
@@ -80,7 +81,7 @@ class TestOnlineOfflineParity:
         session = StreamSession(scenario, "DNOR", "mb")
         assert session.micro_batched
         session.feed_trace(scenario.trace, 0, scenario.trace.n_samples)
-        assert session.pending_epochs
+        assert session.pending
         assert not session.records
 
     def test_scalar_kernel_dnor_is_micro_batched(self):
@@ -108,7 +109,7 @@ class TestOnlineOfflineParity:
         session = StreamSession(scenario, "DNOR", "inline-dnor")
         assert not session.micro_batched
         session.feed_trace(scenario.trace, 0, scenario.trace.n_samples)
-        assert not session.pending_epochs
+        assert not session.pending
         assert session.records
 
     def test_scalar_kernel_inor_runs_inline(self):
@@ -215,14 +216,57 @@ class TestHubStacking:
         hub = SessionHub()
         session = hub.add(StreamSession(scenario, "DNOR", "dtail"))
         session.feed_trace(scenario.trace, 0, scenario.trace.n_samples)
-        assert session.pending_epochs
+        assert session.pending
         hub.drain("dtail")
-        assert not session.pending_epochs
+        assert not session.pending
         _assert_logs_equal(
             session.records,
             offline_decision_log(scenario, "DNOR"),
             "dnor drain",
         )
+
+    def test_mixed_inor_dnor_hub_resolves_in_one_run_epoch(self):
+        """INOR and DNOR sessions of one scenario share a hub: a single
+        run_epoch drains both through the one group loop (one INOR
+        pass, one DNOR round per epoch) and each log matches offline."""
+        scenario = build_named_scenario(
+            "porter-ii", duration_s=16.0, n_modules=9
+        )
+        hub = SessionHub()
+        specs = [("INOR", 810), ("DNOR", 811), ("INOR", 812), ("DNOR", 813)]
+        sessions = [
+            hub.add(
+                StreamSession(
+                    dataclasses.replace(scenario, sensor_seed=seed),
+                    policy,
+                    f"{policy}-{seed}",
+                )
+            )
+            for policy, seed in specs
+        ]
+        trace = scenario.trace
+        for session in sessions:
+            session.feed_trace(trace, 0, trace.n_samples)
+        inor_rows = sum(
+            len(s.pending) for s in sessions if s.policy_name == "INOR"
+        )
+        dnor_epochs = [
+            len(s.pending) for s in sessions if s.policy_name == "DNOR"
+        ]
+        assert inor_rows and dnor_epochs[0] == dnor_epochs[1] > 1
+        emitted = hub.run_epoch()
+        stats = hub.stats
+        assert stats.epochs == 1
+        assert stats.stacked_passes == 1 + dnor_epochs[0]
+        assert stats.max_rows_per_pass == inor_rows
+        assert stats.rows_decided == inor_rows + sum(dnor_epochs)
+        for session, (policy, seed) in zip(sessions, specs):
+            assert not session.pending
+            offline = offline_decision_log(
+                dataclasses.replace(scenario, sensor_seed=seed), policy
+            )
+            _assert_logs_equal(session.records, offline, session.session_id)
+            assert tuple(emitted[session.session_id]) == session.records
 
     def test_incompatible_sessions_split_groups(self):
         scenario = build_named_scenario(
@@ -340,6 +384,32 @@ class TestSessionValidation:
         hub.run_epoch()
         _assert_logs_equal(
             session.records, offline_decision_log(scenario, "INOR"), flaw
+        )
+
+    @pytest.mark.parametrize("policy", ("INOR", "DNOR"))
+    def test_resolve_wrong_count_leaves_session_untouched(self, policy):
+        """A decision count of zero or more than the queue is refused
+        before any epoch is popped or committed."""
+        scenario = build_named_scenario(
+            "porter-ii", duration_s=8.0, n_modules=9
+        )
+        hub = SessionHub()
+        session = hub.add(StreamSession(scenario, policy, "count"))
+        session.feed_trace(scenario.trace, 0, scenario.trace.n_samples)
+        pending = session.pending
+        assert pending
+        for count in (0, len(pending) + 1):
+            with pytest.raises(SimulationError, match="pending epochs"):
+                session.resolve([object()] * count)
+            assert session.pending == pending
+            assert session.records == ()
+        if policy == "DNOR":
+            assert session.policy.decisions == ()
+        hub.drain("count")
+        _assert_logs_equal(
+            session.records,
+            offline_decision_log(scenario, policy),
+            f"{policy} after refused resolve",
         )
 
     def test_unknown_policy_rejected(self):

@@ -324,6 +324,25 @@ class TestExperimentRunnerEquivalence:
         with pytest.raises(SimulationError):
             run_case(case)
 
+    def test_unknown_policy_names_the_case(self, scenario):
+        case = ExperimentCase(name="cell-7", scenario=scenario, policy="MAGIC")
+        with pytest.raises(
+            SimulationError, match="case 'cell-7' failed: unknown policy 'MAGIC'"
+        ):
+            run_case(case)
+
+    def test_run_case_builds_only_its_policy(self):
+        """A non-square array has no square Baseline, yet an INOR case
+        on it runs: run_case builds the case's own policy only."""
+        scenario = default_scenario(
+            duration_s=6.0, seed=5, n_modules=10, nominal_compute_s=1.0e-3
+        )
+        case = ExperimentCase(name="inor-10", scenario=scenario, policy="INOR")
+        assert run_case(case).scheme == "INOR"
+        baseline = dataclasses.replace(case, name="grid-10", policy="Baseline")
+        with pytest.raises(SimulationError, match="case 'grid-10' failed"):
+            run_case(baseline)
+
     def test_unknown_executor_rejected(self, scenario):
         case = ExperimentCase(name="x", scenario=scenario, policy="Baseline")
         with pytest.raises(SimulationError):
