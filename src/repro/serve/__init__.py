@@ -1,8 +1,8 @@
 """Layer 6: the streaming decision service.
 
-Online sessions (:mod:`repro.serve.session`) consume telemetry chunks
-through the incremental physics stream, a hub
-(:mod:`repro.serve.hub`) micro-batches decision epochs across sessions
+Online sessions (:mod:`repro.serve.session`) queue telemetry chunks,
+a hub (:mod:`repro.serve.hub`) settles each physics group's chunks in
+one boundary solve and micro-batches decision epochs across sessions
 through one stacked kernel pass, and an asyncio front-end
 (:mod:`repro.serve.server`) exposes it all over TCP JSON lines.  The
 load-bearing guarantee: online decisions are bit-identical to the

@@ -1,11 +1,21 @@
-"""Cross-session decision micro-batching — layer 6's stacked epochs.
+"""Cross-session micro-batching — layer 6's stacked physics and epochs.
 
 The :class:`SessionHub` holds every live :class:`~repro.serve.session.
-StreamSession`.  A stacked session queues each due epoch's kernel
-inputs — whatever its policy's ``observe`` returned — and once per hub
-epoch :meth:`SessionHub.run_epoch` resolves every queue through one
-group loop (:meth:`SessionHub._run_group`): the kernel runs stacked
-across the group's sessions and each result goes back through
+StreamSession`, seated in one :class:`~repro.serve.session.PhysicsGroup`
+per ``(boundary fingerprint, n_modules)``: a group's queued chunks
+settle in ONE boundary solve, in the feed that completes its barrier
+(every member holding a queued chunk) or, for a group left incomplete,
+at the top of :meth:`SessionHub.run_epoch`.  ``add`` and ``remove``
+seat and unseat a session, so a removed session stops holding its
+group's barrier.  The boundary fingerprint is memoised per boundary
+object, which the sessions of one scenario share.
+
+Settled rows drive each session's policy.  A stacked session queues
+each due epoch's kernel inputs — whatever its policy's ``observe``
+returned — and once per hub epoch :meth:`SessionHub.run_epoch`
+resolves every queue through one group loop
+(:meth:`SessionHub._run_group`): the kernel runs stacked across the
+group's sessions and each result goes back through
 :meth:`StreamSession.resolve`, i.e. the policy's own ``commit``.
 
 * INOR epochs are independent, so a group takes *every* pending epoch
@@ -32,7 +42,8 @@ work and pass through the hub untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -40,10 +51,30 @@ import numpy as np
 from repro.core.dnor import dnor_stack
 from repro.core.inor import inor_stack
 from repro.errors import ConfigurationError
-from repro.serve.session import DecisionRecord, StreamSession
+from repro.serve.session import DecisionRecord, PhysicsGroup, StreamSession
 from repro.sim.gridstack import stack_key
+from repro.sim.scenario import Scenario
 
 __all__ = ["HubStats", "SessionHub"]
+
+_BOUNDARY_TOKENS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def _physics_key(scenario: Scenario) -> Tuple[bytes, int]:
+    """A session's physics group: boundary fingerprint and chain length.
+
+    ``fingerprint_tokens()`` serialises every boundary parameter (tens
+    of microseconds), so it is memoised per boundary; the sessions
+    opened from one scenario share its boundary object.
+    """
+    boundary = scenario.boundary
+    try:
+        tokens = _BOUNDARY_TOKENS[boundary]
+    except KeyError:
+        tokens = _BOUNDARY_TOKENS[boundary] = boundary.fingerprint_tokens()
+    except TypeError:  # unhashable or not weakly referable: no memo
+        tokens = boundary.fingerprint_tokens()
+    return tokens, int(scenario.n_modules)
 
 
 @dataclass
@@ -68,10 +99,12 @@ class HubStats:
 
 
 class SessionHub:
-    """Registry of live sessions plus the stacked decision epoch."""
+    """Registry of live sessions, their physics groups and the stacked
+    decision epoch."""
 
     def __init__(self) -> None:
         self._sessions: Dict[str, StreamSession] = {}
+        self._groups: Dict[Tuple[bytes, int], PhysicsGroup] = {}
         self._stats = HubStats()
 
     # ------------------------------------------------------------------
@@ -86,11 +119,16 @@ class SessionHub:
         return tuple(self._sessions.values())
 
     def add(self, session: StreamSession) -> StreamSession:
-        """Register a session; ids must be unique among live sessions."""
+        """Register a session and seat it in its physics group; ids must
+        be unique among live sessions."""
         if session.session_id in self._sessions:
             raise ConfigurationError(
                 f"duplicate session id {session.session_id!r}"
             )
+        key = _physics_key(session.scenario)
+        group = self._groups.get(key) or PhysicsGroup()
+        group.join(session)
+        self._groups[key] = group
         self._sessions[session.session_id] = session
         return session
 
@@ -104,18 +142,30 @@ class SessionHub:
             ) from None
 
     def remove(self, session_id: str) -> StreamSession:
-        """Deregister (and return) a session."""
-        return self._sessions.pop(self.get(session_id).session_id)
+        """Deregister (and return) a session, unseating it from its
+        physics group; it settles alone from then on."""
+        session = self._sessions.pop(self.get(session_id).session_id)
+        key = _physics_key(session.scenario)
+        group = self._groups[key]
+        group.leave(session)
+        if not group.members:
+            del self._groups[key]
+        return session
 
     # ------------------------------------------------------------------
     def run_epoch(self) -> Dict[str, List[DecisionRecord]]:
         """Resolve every pending epoch across all sessions.
 
-        Groups sessions by stacking identity and drains each group
-        through :meth:`_run_group`.  Returns the newly emitted records
-        keyed by session id (sessions with nothing pending, or whose
-        epochs all kept the current configuration, are omitted).
+        First settles every physics group still holding queued chunks
+        (an incomplete barrier), then groups sessions by stacking
+        identity and drains each group through :meth:`_run_group`.
+        Returns the newly emitted records keyed by session id (sessions
+        with nothing pending, or whose epochs all kept the current
+        configuration, are omitted).
         """
+        for group in self._groups.values():
+            if group.waiting:
+                group.settle()
         groups: Dict[Tuple, List[StreamSession]] = {}
         for session in self._sessions.values():
             if session.pending:

@@ -301,7 +301,9 @@ class StreamServer:
                 decoded.get("coolant_flow_sensed_kg_s"),
             )
             await self._send_decisions(session.session_id, inline_records)
-            if session.pending:
+            # Reading ``pending`` here would settle the session's physics
+            # group before the other sessions' feeds join it.
+            if session.micro_batched:
                 self._schedule_epoch()
         elif op == "close":
             session_id = str(request["session"])

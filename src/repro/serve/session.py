@@ -3,20 +3,32 @@
 A :class:`StreamSession` owns everything one telemetry stream needs to
 be decided online exactly as the offline batch engine would decide it:
 
-* a :class:`~repro.sim.physics.TracePhysicsStream` consuming boundary-
-  condition chunks (bit-identical per row to the one-shot precompute),
+* a seat in a :class:`PhysicsGroup`: the sessions of one hub that share
+  a thermal boundary (equal ``fingerprint_tokens()``) and chain length.
+  :meth:`StreamSession.feed` validates and queues a chunk, and the group
+  settles with ONE boundary solve over its members' concatenated sensed
+  columns, split back by rows: in the feed that gives its last member a
+  queued chunk (a waiting-members counter), in an inline session's own
+  feed, when a member's :attr:`~StreamSession.pending` is read, or at
+  the top of the hub's ``run_epoch``.  A session outside a hub settles
+  alone in its own feed.  The solve is row-wise elementwise (the
+  boundary protocol's contract), so every row is bitwise the sensed row
+  of the offline precompute; a session never computes the true rows,
+  EMFs or ``P_ideal`` it does not read,
 * the session's seeded temperature scanner — successive chunked
   :meth:`~repro.vehicle.sensors.ModuleTemperatureScanner.scan_batch`
   calls on one persisted generator draw exactly the doubles a single
   whole-trace batch draw would (C-order fill of the bit stream, pinned
   in the stream parity suite),
-* the session's policy, built by :meth:`Scenario.make_policy`.  Inline
-  sessions (EHTR, Baseline, scalar-kernel INOR, measured-compute DNOR)
-  call its ``decide`` sample by sample.  Stacked sessions (batched-
-  kernel INOR, nominal-compute DNOR) split that call: the policy's own
-  ``observe`` gates each sample, and every due epoch's kernel inputs
-  queue as a :class:`PendingEpoch` (:attr:`StreamSession.pending`);
-  the :class:`~repro.serve.hub.SessionHub` decides the queued epochs of
+* the session's policy, built by :meth:`Scenario.make_policy`.  Once its
+  rows settle, each member scans them and runs its policy in sample
+  order.  Inline sessions (EHTR, Baseline, scalar-kernel INOR,
+  measured-compute DNOR) call its ``decide`` sample by sample.  Stacked
+  sessions (batched-kernel INOR, nominal-compute DNOR) split that call:
+  the policy's own ``observe`` gates each sample, and every due epoch's
+  kernel inputs queue as a :class:`PendingEpoch`
+  (:attr:`StreamSession.pending`); the
+  :class:`~repro.serve.hub.SessionHub` decides the queued epochs of
   every concurrent session in stacked kernel passes and hands the
   results back through :meth:`StreamSession.resolve`, which commits
   them through the policy's ``commit``.  Sense, decide and commit are
@@ -31,13 +43,14 @@ byte-clean in CI).
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import SimulationError
-from repro.sim.physics import TracePhysics, TracePhysicsStream
+from repro.errors import ConfigurationError, SimulationError
+from repro.sim.physics import TracePhysics
 from repro.sim.scenario import Scenario
 
 __all__ = [
@@ -117,6 +130,79 @@ class PendingEpoch:
     inputs: tuple
 
 
+class PhysicsGroup:
+    """Sessions whose queued chunks settle in one boundary solve.
+
+    The hub owns one group per ``(boundary fingerprint, n_modules)``.  A
+    member reaches its group through a weak reference, so a dropped hub
+    frees its groups (their members then settle alone).  ``waiting``
+    counts the members holding a queued chunk; when it reaches
+    ``len(members)`` the barrier is complete and the feed that completed
+    it settles the group.
+    """
+
+    def __init__(self) -> None:
+        self.members: List["StreamSession"] = []
+        self.waiting = 0
+
+    def join(self, session: "StreamSession") -> None:
+        """Seat ``session``; a session sits in at most one live group."""
+        if session._live_group() is not None:
+            raise ConfigurationError(
+                f"session {session.session_id!r} is already in a hub"
+            )
+        session._group = weakref.ref(self)
+        self.members.append(session)
+        self.waiting += bool(session._queued)
+
+    def leave(self, session: "StreamSession") -> None:
+        """Unseat ``session``; it stops holding the group's barrier.
+
+        The leaver's queued chunks stay with it and settle alone; a
+        barrier that only the leaver was holding settles at once.
+        """
+        self.members.remove(session)
+        session._group = None
+        self.waiting -= bool(session._queued)
+        if self.members and self.waiting == len(self.members):
+            self.settle()
+
+    def settle(self) -> None:
+        """Settle every member's queued chunks in one boundary solve."""
+        _settle(self.members)
+        self.waiting = 0
+
+
+def _settle(sessions: Sequence["StreamSession"]) -> None:
+    """One boundary solve over the queued chunks of ``sessions``.
+
+    The sessions share a boundary (by fingerprint) and chain length, so
+    one ``solve_trace`` over their concatenated sensed columns holds
+    every member's rows, each bitwise a separate solve (the boundary
+    protocol is row-wise elementwise).  The effective hot-side
+    temperatures ``ambient + delta_t`` split back by rows, and each
+    member scans and decides its own in sample order.
+    """
+    waiting = [s for s in sessions if s._queued]
+    if not waiting:
+        return
+    chunks = [chunk for s in waiting for chunk in s._queued]
+    times, inlet, flow, ambient, air_flow = (
+        np.concatenate(column) for column in zip(*chunks)
+    )
+    scenario = waiting[0].scenario
+    solution = scenario.boundary.solve_trace(
+        inlet, flow, ambient, air_flow, scenario.n_modules
+    )
+    sensed_temps_c = ambient[:, None] + solution.delta_t_k
+    lo = 0
+    for session in waiting:
+        hi = lo + sum(chunk[0].size for chunk in session._queued)
+        session._queued = []
+        session._consume(times[lo:hi], ambient[lo:hi], sensed_temps_c[lo:hi])
+        lo = hi
+
+
 class StreamSession:
     """One vehicle's telemetry stream under one reconfiguration policy.
 
@@ -150,9 +236,6 @@ class StreamSession:
         self.session_id = str(session_id)
         self._scenario = scenario
         self._policy_name = str(policy)
-        self._stream = TracePhysicsStream(
-            scenario.boundary, scenario.module, scenario.n_modules
-        )
         self._scanner = scenario.make_scanner()
         self._scanner.reset()
         self._policy = scenario.make_policy(policy, refit=dnor_refit)
@@ -167,6 +250,10 @@ class StreamSession:
         self._last_time_s = -np.inf
         self._records: List[DecisionRecord] = []
         self._pending: List[PendingEpoch] = []
+        # Validated chunks awaiting their group's solve, each
+        # ``(time, sensed inlet, sensed flow, ambient, cold flow)``.
+        self._queued: List[Tuple[np.ndarray, ...]] = []
+        self._group: Optional[weakref.ref] = None
 
     # ------------------------------------------------------------------
     @property
@@ -192,8 +279,8 @@ class StreamSession:
 
     @property
     def n_samples_seen(self) -> int:
-        """Telemetry samples consumed so far."""
-        return self._sample_index
+        """Telemetry samples accepted so far, settled or queued."""
+        return self._sample_index + sum(c[0].size for c in self._queued)
 
     @property
     def records(self) -> Tuple[DecisionRecord, ...]:
@@ -202,8 +289,22 @@ class StreamSession:
 
     @property
     def pending(self) -> Tuple[PendingEpoch, ...]:
-        """Due epochs awaiting the hub, oldest first."""
+        """Due epochs awaiting the hub, oldest first.
+
+        A session holding a queued chunk settles its group first.
+        """
+        if self._queued:
+            self._settle_group(self._live_group())
         return tuple(self._pending)
+
+    def _live_group(self) -> Optional[PhysicsGroup]:
+        return None if self._group is None else self._group()
+
+    def _settle_group(self, group: Optional[PhysicsGroup]) -> None:
+        if group is None:
+            _settle([self])
+        else:
+            group.settle()
 
     # ------------------------------------------------------------------
     def feed(
@@ -216,21 +317,24 @@ class StreamSession:
         coolant_inlet_sensed_c: Optional[np.ndarray] = None,
         coolant_flow_sensed_kg_s: Optional[np.ndarray] = None,
     ) -> List[DecisionRecord]:
-        """Consume one telemetry chunk (matching 1-D columns).
+        """Validate and queue one telemetry chunk (matching 1-D columns).
 
-        Inline-policy sessions return the decisions fired inside the
-        chunk immediately; micro-batched sessions queue their due epochs
-        (:attr:`pending`) and return ``[]``; their records arrive when
-        the hub runs its next stacked epoch.
+        Sensed columns default to the true ones.  The chunk settles with
+        the session's physics group (see the module docstring): inline-
+        policy sessions settle in this call and return the decisions
+        fired inside the chunk; micro-batched sessions return ``[]``,
+        their due epochs join :attr:`pending` when the group settles and
+        their records arrive when the hub runs its next stacked epoch.
 
         A malformed chunk raises :class:`~repro.errors.SimulationError`
         before any session state changes, so the session can go on with
         a corrected chunk; see :meth:`_check_chunk`.
         """
-        times = np.asarray(time_s, dtype=float)
-        columns = [
-            None if column is None else np.asarray(column, dtype=float)
+        # Copies: a queued chunk must not see the caller's later writes.
+        times, inlet, flow, ambient, air_flow, sensed_inlet, sensed_flow = (
+            None if column is None else np.array(column, dtype=float)
             for column in (
+                time_s,
                 coolant_inlet_c,
                 coolant_flow_kg_s,
                 ambient_c,
@@ -238,12 +342,35 @@ class StreamSession:
                 coolant_inlet_sensed_c,
                 coolant_flow_sensed_kg_s,
             )
-        ]
-        self._check_chunk(times, [c for c in columns if c is not None])
-        state = self._stream.extend(*columns)
-        ambient = columns[2]
-        scanned = self._scanner.scan_batch(state.sensed_temps_c)
-        emitted: List[DecisionRecord] = []
+        )
+        sensed_inlet = inlet if sensed_inlet is None else sensed_inlet
+        sensed_flow = flow if sensed_flow is None else sensed_flow
+        flows = (flow, air_flow, sensed_flow)
+        self._check_chunk(times, (inlet, ambient, sensed_inlet), flows)
+        self._queued.append(
+            (times, sensed_inlet, sensed_flow, ambient, air_flow)
+        )
+        self._last_time_s = float(times[-1])
+        settled = len(self._records)
+        group = self._live_group()
+        if group is not None and len(self._queued) == 1:
+            group.waiting += 1
+        if (
+            group is None
+            or not self._stacked
+            or group.waiting == len(group.members)
+        ):
+            self._settle_group(group)
+        return self._records[settled:]
+
+    def _consume(
+        self,
+        times: np.ndarray,
+        ambient: np.ndarray,
+        sensed_temps_c: np.ndarray,
+    ) -> None:
+        """Scan settled rows and run the policy on them in sample order."""
+        scanned = self._scanner.scan_batch(sensed_temps_c)
         for j in range(times.size):
             index = self._sample_index + j
             t = float(times[j])
@@ -255,20 +382,23 @@ class StreamSession:
             else:
                 config = self._policy.decide(t, scanned[j], amb)
                 if config is not None:
-                    emitted.append(_record(index, t, config))
-        self._records.extend(emitted)
+                    self._records.append(_record(index, t, config))
         self._sample_index += times.size
-        self._last_time_s = float(times[-1])
-        return emitted
 
     def _check_chunk(
-        self, times: np.ndarray, columns: List[np.ndarray]
+        self,
+        times: np.ndarray,
+        columns: Sequence[np.ndarray],
+        flows: Sequence[np.ndarray],
     ) -> None:
-        """Refuse a hostile chunk before it reaches the physics stream.
+        """Refuse a hostile chunk before it is queued.
 
         Every column must match ``time_s`` sample for sample, every
-        value must be finite, and ``time_s`` must strictly increase,
-        both within the chunk and from the previous chunk's last sample.
+        value must be finite, every mass flow (coolant or gas, air or
+        cold stream, sensed) must be positive, and ``time_s`` must
+        strictly increase, both within the chunk and from the previous
+        chunk's last sample.  So one member's queued chunk cannot fail
+        its group's deferred solve.
         """
         where = f"session {self.session_id!r}"
         if times.ndim != 1 or times.size < 1:
@@ -276,15 +406,20 @@ class StreamSession:
                 f"{where}: chunk time_s must be non-empty 1-D, "
                 f"got {times.shape}"
             )
-        for column in columns:
+        for column in (*columns, *flows):
             if column.shape != times.shape:
                 raise SimulationError(
                     f"{where}: chunk columns of shape {column.shape} do "
                     f"not match time_s of {times.size} samples"
                 )
-        if not np.isfinite(np.stack([times, *columns])).all():
+        if not np.isfinite(np.stack([times, *columns, *flows])).all():
             raise SimulationError(
                 f"{where}: chunk holds non-finite (NaN or inf) values"
+            )
+        if not (np.stack(flows) > 0.0).all():
+            raise SimulationError(
+                f"{where}: chunk mass flows must be > 0 (coolant or gas, "
+                f"air or cold stream, sensed)"
             )
         if times[0] <= self._last_time_s:
             raise SimulationError(

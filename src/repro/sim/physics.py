@@ -32,7 +32,10 @@ precompute incrementally through the same one-solve helper: every
 solve in the chain is per-sample (row-wise elementwise, the boundary
 protocol's contract), so chunked evaluation is a restructuring, not an
 approximation, and each chunk's state is bit-identical to the
-corresponding rows of the one-shot ``compute()``.
+corresponding rows of the one-shot ``compute()``.  That same row-wise
+contract lets the streaming service (:mod:`repro.serve`) skip this
+class: it solves only the sensed rows it reads, once per physics group
+of sessions, and this stream stays the chunked parity oracle.
 """
 
 from __future__ import annotations

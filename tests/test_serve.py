@@ -7,11 +7,13 @@ trace.  Pinned per registry scenario and chunk size for INOR (the
 stacked-kernel path) and for DNOR under both refit modes (epoch
 micro-batching through ``dnor_stack`` rounds), plus the 64-session
 single-stacked-pass scaling pin, the multi-session DNOR round pin, a
-hub holding INOR and DNOR sessions together, and the asyncio TCP
-front-end end to end.
+hub holding INOR and DNOR sessions together, the physics-group pins
+(one boundary solve per group per round, a refused member, a session
+moved between hubs), and the asyncio TCP front-end end to end.
 """
 
 import asyncio
+import collections
 import dataclasses
 import json
 
@@ -27,6 +29,8 @@ from repro.serve import (
 )
 from repro.serve.server import FEED_COLUMNS, decode_column, encode_column
 from repro.sim.scenario import build_named_scenario, default_registry
+from repro.thermal.exhaust import ExhaustGasBoundary
+from repro.thermal.radiator import Radiator
 
 
 def _stream_through_hub(scenario, policy, chunk, dnor_refit="full"):
@@ -322,6 +326,237 @@ class TestHubStacking:
         )
 
 
+def _count_solves(monkeypatch):
+    """Count boundary solves per boundary class from here on."""
+    calls = collections.Counter()
+    for cls in (Radiator, ExhaustGasBoundary):
+
+        def counted(self, *args, _solve=cls.solve_trace, _name=cls.__name__):
+            calls[_name] += 1
+            return _solve(self, *args)
+
+        monkeypatch.setattr(cls, "solve_trace", counted)
+    return calls
+
+
+class TestPhysicsGroups:
+    """Sessions of one hub that share a boundary and chain length settle
+    their queued chunks in one boundary solve per round."""
+
+    def test_one_solve_per_group_per_round(self, monkeypatch):
+        """A hub with a three-member radiator group, a two-member
+        exhaust-gas group (INOR and DNOR) and an EHTR session, plus a
+        session outside any hub, fed staggered uneven chunks: each
+        group solves once per round, in the feed that completes its
+        barrier or else in run_epoch, and a session moved to another
+        hub mid-stream no longer holds its old group's barrier."""
+        porter = build_named_scenario(
+            "porter-ii", duration_s=12.0, n_modules=9
+        )
+        exhaust = build_named_scenario(
+            "exhaust-gas", duration_s=12.0, n_modules=9
+        )
+        small = build_named_scenario("porter-ii", duration_s=12.0, n_modules=4)
+        # name: scenario, policy, first round fed
+        specs = {
+            "p0": (porter, "INOR", 0),
+            "p1": (porter, "DNOR", 1),
+            "p2": (porter, "INOR", 0),
+            "e0": (exhaust, "INOR", 0),
+            "e1": (exhaust, "DNOR", 2),
+            "h0": (small, "EHTR", 1),
+            "b0": (porter, "Baseline", 0),
+        }
+        scenarios = {
+            name: dataclasses.replace(scenario, sensor_seed=950 + k)
+            for k, (name, (scenario, _, _)) in enumerate(specs.items())
+        }
+        sessions = {
+            name: StreamSession(scenarios[name], policy, name)
+            for name, (_, policy, _) in specs.items()
+        }
+        hub, other_hub = SessionHub(), SessionHub()
+        for name in ("p0", "p1", "p2", "e0", "e1", "h0"):
+            hub.add(sessions[name])
+        groups = {
+            "porter": ["p0", "p1", "p2"],
+            "exhaust": ["e0", "e1"],
+            "small": ["h0"],
+            "outside": ["b0"],
+        }
+        boundary_of = dict.fromkeys(groups, "Radiator")
+        boundary_of["exhaust"] = "ExhaustGasBoundary"
+        calls = _count_solves(monkeypatch)
+        lo = dict.fromkeys(sessions, 0)
+        completed_after_move = 0
+        r = 0
+        while any(lo[n] < scenarios[n].trace.n_samples for n in sessions):
+            fed = set()
+            for k, (name, session) in enumerate(sessions.items()):
+                n_samples = scenarios[name].trace.n_samples
+                if r < specs[name][2] or lo[name] >= n_samples:
+                    continue
+                hi = min(lo[name] + 1 + (k + r) % 3, n_samples)
+                session.feed_trace(scenarios[name].trace, lo[name], hi)
+                lo[name] = hi
+                fed.add(name)
+            complete = [g for g, m in groups.items() if fed.issuperset(m)]
+            touched = [g for g, m in groups.items() if fed.intersection(m)]
+            assert sum(calls.values()) == len(complete), (r, complete)
+            hub.run_epoch()
+            other_hub.run_epoch()
+            assert calls == collections.Counter(
+                boundary_of[g] for g in touched
+            ), (r, touched)
+            calls.clear()
+            if "p2" in groups and "porter" in complete:
+                completed_after_move += 1
+            if r == 3:
+                other_hub.add(hub.remove("p2"))
+                groups["porter"].remove("p2")
+                groups["p2"] = ["p2"]
+                boundary_of["p2"] = "Radiator"
+            r += 1
+        assert completed_after_move > 0
+        for name, (_, policy, _) in specs.items():
+            _assert_logs_equal(
+                sessions[name].records,
+                offline_decision_log(scenarios[name], policy),
+                name,
+            )
+
+    def test_refused_member_leaves_group_to_settle_in_run_epoch(
+        self, monkeypatch
+    ):
+        """One member's chunk is refused mid-stream: the other two still
+        settle (in run_epoch, their barrier incomplete), the refused
+        member goes on with its clean chunk, and all three logs equal
+        offline."""
+        base = build_named_scenario("porter-ii", duration_s=12.0, n_modules=9)
+        specs = [("INOR", 961), ("DNOR", 962), ("INOR", 963)]
+        scenarios = [
+            dataclasses.replace(base, sensor_seed=seed) for _, seed in specs
+        ]
+        hub = SessionHub()
+        sessions = [
+            hub.add(StreamSession(scenario, policy, f"{policy}-{seed}"))
+            for scenario, (policy, seed) in zip(scenarios, specs)
+        ]
+        calls = _count_solves(monkeypatch)
+        trace = base.trace
+        chunk = 4
+        for r, lo in enumerate(range(0, trace.n_samples, chunk)):
+            hi = min(lo + chunk, trace.n_samples)
+            for session in sessions[:2]:
+                session.feed_trace(trace, lo, hi)
+            if r == 2:
+                bad = {
+                    column: np.array(getattr(trace, column)[lo:hi])
+                    for column in FEED_COLUMNS
+                }
+                bad["coolant_flow_kg_s"][1] = -0.05
+                with pytest.raises(SimulationError, match="must be > 0"):
+                    sessions[2].feed(**bad)
+                assert calls["Radiator"] == 0
+                hub.run_epoch()
+                assert calls["Radiator"] == 1
+                assert sessions[0].n_samples_seen == hi
+                assert sessions[2].n_samples_seen == lo
+            sessions[2].feed_trace(trace, lo, hi)
+            hub.run_epoch()
+            calls.clear()
+        for session, scenario, (policy, _) in zip(sessions, scenarios, specs):
+            _assert_logs_equal(
+                session.records,
+                offline_decision_log(scenario, policy),
+                session.session_id,
+            )
+
+    def test_removed_session_takes_its_queued_chunk_along(self, monkeypatch):
+        """A session removed while its chunk waits on the barrier keeps
+        the chunk, releases the barrier, and carries the chunk into the
+        hub it joins next."""
+        base = build_named_scenario("porter-ii", duration_s=8.0, n_modules=9)
+        scenarios = [
+            dataclasses.replace(base, sensor_seed=seed) for seed in (971, 972)
+        ]
+        hub, other_hub = SessionHub(), SessionHub()
+        a, b = (
+            hub.add(StreamSession(scenario, "INOR", name))
+            for scenario, name in zip(scenarios, "ab")
+        )
+        calls = _count_solves(monkeypatch)
+        trace = base.trace
+        half = trace.n_samples // 2
+        a.feed_trace(trace, 0, half)
+        assert hub.remove("a") is a
+        assert calls["Radiator"] == 0 and a.n_samples_seen == half
+        b.feed_trace(trace, 0, half)
+        assert calls["Radiator"] == 1
+        other_hub.add(a)
+        a.feed_trace(trace, half, trace.n_samples)
+        assert calls["Radiator"] == 2
+        b.feed_trace(trace, half, trace.n_samples)
+        assert calls["Radiator"] == 3
+        hub.run_epoch()
+        other_hub.run_epoch()
+        for session, scenario in zip((a, b), scenarios):
+            _assert_logs_equal(
+                session.records,
+                offline_decision_log(scenario, "INOR"),
+                session.session_id,
+            )
+
+    def test_unhashable_boundaries_still_group(self, monkeypatch):
+        """Equal boundaries that cannot be hashed (so the fingerprint
+        memo cannot hold them) still share one physics group."""
+
+        class UnhashableExhaust(ExhaustGasBoundary):
+            __hash__ = None
+
+        base = build_named_scenario(
+            "exhaust-gas", duration_s=6.0, n_modules=9
+        )
+        scenarios = [
+            dataclasses.replace(
+                base,
+                boundary=UnhashableExhaust.from_params_dict(
+                    base.boundary.params_dict()
+                ),
+                sensor_seed=seed,
+            )
+            for seed in (981, 982)
+        ]
+        hub = SessionHub()
+        sessions = [
+            hub.add(StreamSession(scenario, "INOR", f"u{k}"))
+            for k, scenario in enumerate(scenarios)
+        ]
+        calls = _count_solves(monkeypatch)
+        for session in sessions:
+            session.feed_trace(base.trace, 0, base.trace.n_samples)
+        assert calls["ExhaustGasBoundary"] == 1
+        hub.run_epoch()
+        for session, scenario in zip(sessions, scenarios):
+            _assert_logs_equal(
+                session.records,
+                offline_decision_log(scenario, "INOR"),
+                session.session_id,
+            )
+
+    def test_session_sits_in_one_hub(self):
+        scenario = build_named_scenario(
+            "porter-ii", duration_s=2.0, n_modules=4
+        )
+        first, second = SessionHub(), SessionHub()
+        session = first.add(StreamSession(scenario, "INOR", "one"))
+        with pytest.raises(ConfigurationError, match="already in a hub"):
+            second.add(session)
+        assert not second.sessions
+        second.add(first.remove("one"))
+        assert second.sessions == (session,)
+
+
 class TestSessionValidation:
     def test_feed_rejects_mismatched_columns(self):
         scenario = build_named_scenario(
@@ -346,45 +581,56 @@ class TestSessionValidation:
             ("reversed_time", "strictly increase within"),
             ("stale_time", "not after the previous chunk"),
             ("short_column", "do not match"),
+            ("zero_flow", "must be > 0"),
+            ("negative_flow", "must be > 0"),
         ],
     )
     def test_hostile_chunk_leaves_session_untouched(self, flaw, rule):
         """A rejected chunk changes nothing: feeding the clean trace
-        afterwards still gives the offline decision log."""
-        scenario = build_named_scenario(
-            "porter-ii", duration_s=6.0, n_modules=9
-        )
-        trace = scenario.trace
-        hub = SessionHub()
-        session = hub.add(StreamSession(scenario, "INOR", "hostile"))
-        half = trace.n_samples // 2
-        session.feed_trace(trace, 0, half)
-        hub.run_epoch()
-        chunk = {
-            name: np.array(getattr(trace, name)[half:half + 4])
-            for name in FEED_COLUMNS
-        }
-        if flaw == "nan":
-            chunk["coolant_inlet_c"][2] = np.nan
-        elif flaw == "inf":
-            chunk["air_flow_kg_s"][1] = np.inf
-        elif flaw == "reversed_time":
-            chunk["time_s"] = chunk["time_s"][::-1].copy()
-        elif flaw == "stale_time":
-            chunk["time_s"] = np.array(trace.time_s[half - 4:half])
-        else:
-            chunk["coolant_flow_kg_s"] = chunk["coolant_flow_kg_s"][:3]
-        records = session.records
-        with pytest.raises(SimulationError, match=rule) as excinfo:
-            session.feed(**chunk)
-        assert "hostile" in str(excinfo.value)
-        assert session.n_samples_seen == half
-        assert session.records == records and not session.pending
-        session.feed_trace(trace, half, trace.n_samples)
-        hub.run_epoch()
-        _assert_logs_equal(
-            session.records, offline_decision_log(scenario, "INOR"), flaw
-        )
+        afterwards still gives the offline decision log, on the
+        radiator and on the exhaust-gas boundary."""
+        for name in ("porter-ii", "exhaust-gas"):
+            scenario = build_named_scenario(
+                name, duration_s=6.0, n_modules=9
+            )
+            trace = scenario.trace
+            hub = SessionHub()
+            session = hub.add(StreamSession(scenario, "INOR", "hostile"))
+            half = trace.n_samples // 2
+            session.feed_trace(trace, 0, half)
+            hub.run_epoch()
+            chunk = {
+                column: np.array(getattr(trace, column)[half:half + 4])
+                for column in FEED_COLUMNS
+            }
+            if flaw == "nan":
+                chunk["coolant_inlet_c"][2] = np.nan
+            elif flaw == "inf":
+                chunk["air_flow_kg_s"][1] = np.inf
+            elif flaw == "reversed_time":
+                chunk["time_s"] = chunk["time_s"][::-1].copy()
+            elif flaw == "stale_time":
+                chunk["time_s"] = np.array(trace.time_s[half - 4:half])
+            elif flaw == "zero_flow":
+                chunk["air_flow_kg_s"][1] = 0.0
+                chunk["coolant_flow_sensed_kg_s"][3] = 0.0
+            elif flaw == "negative_flow":
+                chunk["coolant_flow_kg_s"][:] = -0.05
+            else:
+                chunk["coolant_flow_kg_s"] = chunk["coolant_flow_kg_s"][:3]
+            records = session.records
+            with pytest.raises(SimulationError, match=rule) as excinfo:
+                session.feed(**chunk)
+            assert "hostile" in str(excinfo.value)
+            assert session.n_samples_seen == half
+            assert session.records == records and not session.pending
+            session.feed_trace(trace, half, trace.n_samples)
+            hub.run_epoch()
+            _assert_logs_equal(
+                session.records,
+                offline_decision_log(scenario, "INOR"),
+                f"{name} {flaw}",
+            )
 
     @pytest.mark.parametrize("policy", ("INOR", "DNOR"))
     def test_resolve_wrong_count_leaves_session_untouched(self, policy):
