@@ -1,11 +1,24 @@
-"""Legacy setup shim.
+"""Package metadata and install script for :mod:`repro` (tegkit).
 
-The canonical metadata lives in ``pyproject.toml``; this file exists so
-``pip install -e .`` / ``python setup.py develop`` keep working on
-offline machines whose environments lack the ``wheel`` package needed
-for PEP 660 editable builds.
+Plain setuptools metadata: ``pip install -e . --no-deps
+--no-build-isolation`` installs the package where the ``wheel`` package
+is present (pip's editable build needs it), and ``python setup.py
+develop`` does so offline without it.  The version is read from
+``src/repro/_about.py`` without importing the package.
 """
 
-from setuptools import setup
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+_about: dict = {}
+exec((Path(__file__).parent / "src/repro/_about.py").read_text(), _about)
+
+setup(
+    name="tegkit",
+    version=_about["__version__"],
+    description="Reproduction of: " + _about["PAPER_TITLE"],
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy"],
+)

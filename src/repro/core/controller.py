@@ -14,16 +14,16 @@ four schemes:
 
 :class:`PeriodicPolicy` and :class:`DNORPolicy` split ``decide`` into
 ``observe`` (gate the sample; at an epoch, return the kernel inputs),
-the kernel call, and ``commit`` (kernel result -> configuration), so an
-external epoch runner can queue many policies' epochs and decide them
-in one stacked kernel pass.
+the kernel call, and ``commit`` (kernel result -> configuration), so
+the stacked epoch step (:func:`repro.sim.gridstack.decide_epochs`, run
+by the gridstack executor and the streaming hub) can decide many
+policies' epochs in one stacked kernel pass.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Deque, Optional, Tuple
-from collections import deque
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -185,9 +185,8 @@ class PeriodicPolicy(ReconfigurationPolicy):
 
         The sensing half of :meth:`decide`: ``None`` between periods,
         and at a period boundary the ``(emf, resistance)`` Thevenin
-        vectors the kernel decides on.  External epoch runners (the
-        streaming hub) queue these and decide many policies' epochs in
-        one stacked :func:`~repro.core.inor.inor_stack` pass.
+        vectors the kernel decides on.  The stacked epoch step ranks
+        many policies' epochs in one batched INOR pass.
         """
         if not self._clock.due(time_s):
             return None
@@ -223,6 +222,11 @@ class DNORPolicy(ReconfigurationPolicy):
     invokes the :class:`~repro.core.dnor.DNORPlanner` every
     ``t_p + 1`` seconds; between epochs the configuration is durable.
 
+    The history is a growable row buffer, and :meth:`observe` hands out
+    its last ``history_rows`` rows as a view.  Rows only land past every
+    row a view exposes, and a full buffer compacts into a *fresh* one
+    (twice the kept rows), so a history handed out never changes.
+
     Parameters
     ----------
     planner:
@@ -236,7 +240,9 @@ class DNORPolicy(ReconfigurationPolicy):
         if history_rows < 2:
             raise ConfigurationError(f"history_rows must be >= 2, got {history_rows}")
         self._planner = planner
-        self._history: Deque[np.ndarray] = deque(maxlen=int(history_rows))
+        self._history_rows = int(history_rows)
+        self._buffer: Optional[np.ndarray] = None
+        self._end = 0  # rows written into the buffer
         self._current: Optional[ArrayConfiguration] = None
         self._clock = EpochClock(planner.epoch_seconds)
         self._timed_decisions: list = []
@@ -274,27 +280,42 @@ class DNORPolicy(ReconfigurationPolicy):
     @property
     def history_rows(self) -> int:
         """Most sensed rows the predictor history keeps."""
-        return self._history.maxlen
+        return self._history_rows
+
+    def _history(self) -> np.ndarray:
+        """The last ``history_rows`` rows, a view of the buffer."""
+        return self._buffer[max(0, self._end - self._history_rows) : self._end]
+
+    def _record(self, row: np.ndarray) -> None:
+        """Append one sensed row, compacting into a fresh buffer when full."""
+        if self._buffer is None or self._end == self._buffer.shape[0]:
+            kept = min(self._end, self._history_rows)
+            buffer = np.empty((max(2 * kept, 8), row.size))
+            if kept:
+                buffer[:kept] = self._history()
+            self._buffer, self._end = buffer, kept
+        self._buffer[self._end] = row
+        self._end += 1
 
     def observe(
         self, time_s: float, module_temps_c: np.ndarray, ambient_c: float
     ) -> Optional[Tuple[np.ndarray, float, int]]:
         """Record one sensed sample; return the epoch's planner inputs.
 
-        The sensing half of :meth:`decide`, split out so external
-        epoch runners (the streaming hub) can collect due epochs from
-        many policies and plan them through one stacked
+        The sensing half of :meth:`decide`, split out so the stacked
+        epoch step can plan due epochs from many policies through one
         :func:`~repro.core.dnor.dnor_stack` call.  Returns ``None``
         between epochs; at an epoch boundary, advances the epoch clock
         and returns ``(history, ambient_c, new_rows)`` — exactly the
-        arguments :meth:`decide` hands the planner, frozen at the
-        boundary so planning later sees the same matrices.
+        arguments :meth:`decide` hands the planner.  ``history`` is a
+        view of the history buffer that later observes never overwrite,
+        so planning later sees the same matrix.
         """
-        self._history.append(np.asarray(module_temps_c, dtype=float))
+        self._record(np.asarray(module_temps_c, dtype=float))
         self._rows_since_plan += 1
         if not self._clock.due(time_s):
             return None
-        history = np.vstack(self._history)
+        history = self._history()
         new_rows = self._rows_since_plan
         self._rows_since_plan = 0
         return history, ambient_c, new_rows
@@ -333,7 +354,7 @@ class DNORPolicy(ReconfigurationPolicy):
 
     def reset(self) -> None:
         """Clear history, epoch state and the predictor stream."""
-        self._history.clear()
+        self._buffer, self._end = None, 0  # earlier views keep theirs
         self._current = None
         self._clock.reset()
         self._timed_decisions = []

@@ -10,24 +10,22 @@ seat and unseat a session, so a removed session stops holding its
 group's barrier.  The boundary fingerprint is memoised per boundary
 object, which the sessions of one scenario share.
 
-Settled rows drive each session's policy.  A stacked session queues
-each due epoch's kernel inputs — whatever its policy's ``observe``
-returned — and once per hub epoch :meth:`SessionHub.run_epoch`
-resolves every queue through one group loop
-(:meth:`SessionHub._run_group`): the kernel runs stacked across the
-group's sessions and each result goes back through
-:meth:`StreamSession.resolve`, i.e. the policy's own ``commit``.
+Settled rows drive each session's policy.  A stacked session gates
+every sample through its own policy's ``observe`` and queues each due
+epoch's kernel inputs; once per hub epoch :meth:`SessionHub.run_epoch`
+drains every queue through :meth:`SessionHub._run_group`, a thin loop
+over :func:`repro.sim.gridstack.decide_epochs` — the one stacked epoch
+step gridstack runs too, which ranks or plans a group's epochs in one
+kernel pass and commits DNOR lanes through each policy's own
+``commit``.  :meth:`StreamSession.resolve` then retires the epochs and
+logs the applied configurations.
 
 * INOR epochs are independent, so a group takes *every* pending epoch
-  in one :func:`repro.core.inor.inor_stack` pass: K concurrent
-  vehicles cost roughly one INOR evaluation per hub epoch instead of
-  K.  ``inor_stack`` is pinned bit-identical per row to the
-  :func:`~repro.core.inor.inor` call
-  :class:`~repro.core.controller.PeriodicPolicy` makes.
+  in one pass: K concurrent vehicles cost roughly one INOR evaluation
+  per hub epoch instead of K.
 * DNOR epochs chain — epoch r+1 plans against epoch r's committed
   configuration and predictor-stream refit — so a group takes *one*
-  epoch per session per round through :func:`repro.core.dnor.dnor_stack`
-  (:meth:`~repro.core.dnor.DNORPlanner.plan` is its one-lane call).
+  epoch per session per pass.
 
 That keeps the online decision logs byte-equal to the offline batch
 reference.  Sessions stack only when their decision inputs are
@@ -46,13 +44,11 @@ import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-import numpy as np
-
-from repro.core.dnor import dnor_stack
-from repro.core.inor import inor_stack
+# Unused here, but perfbench/tracing.py probes this name in this module.
+from repro.core.dnor import dnor_stack  # noqa: F401
 from repro.errors import ConfigurationError
 from repro.serve.session import DecisionRecord, PhysicsGroup, StreamSession
-from repro.sim.gridstack import stack_key
+from repro.sim.gridstack import decide_epochs, stack_key
 from repro.sim.scenario import Scenario
 
 __all__ = ["HubStats", "SessionHub"]
@@ -191,16 +187,17 @@ class SessionHub:
     def _run_group(
         self, members: List[StreamSession]
     ) -> Dict[str, List[DecisionRecord]]:
-        """Drain one stack group's pending epochs in stacked passes.
+        """Drain one stack group's pending epochs through the epoch step.
 
         The members share one :func:`~repro.sim.gridstack.stack_key`.
-        Each pass decides the live members' epochs in one kernel call
-        and resolves them in queue order: an INOR pass takes every
-        pending epoch (so an INOR group is one pass), a DNOR pass the
-        head epoch of each member, because epoch ``r+1`` depends on
-        epoch ``r``'s commit and on the predictor-stream mutations its
-        plan performs.  ``dnor_stack`` takes no time argument, so lanes
-        whose epochs fired at different stream times stack safely.
+        Each pass hands the live members' epochs to one
+        :func:`~repro.sim.gridstack.decide_epochs` call, in queue order:
+        an INOR pass takes every pending epoch (so an INOR group is one
+        pass), a DNOR pass the head epoch of each member, because epoch
+        ``r+1`` depends on epoch ``r``'s commit and on the
+        predictor-stream mutations its plan performs.  ``dnor_stack``
+        takes no time argument, so lanes whose epochs fired at
+        different stream times stack safely.
         """
         dnor = members[0].policy_name == "DNOR"
         emitted: Dict[str, List[DecisionRecord]] = {}
@@ -208,29 +205,18 @@ class SessionHub:
             live = [s for s in members if s.pending]
             if not live:
                 return emitted
-            if dnor:
-                counts = [1] * len(live)
-                heads = [s.pending[0].inputs for s in live]
-                decisions = dnor_stack(
-                    [s.policy.planner for s in live],
-                    [history for history, _, _ in heads],
-                    np.array([ambient for _, ambient, _ in heads]),
-                    [s.policy.current_config for s in live],
-                    new_rows=[new_rows for _, _, new_rows in heads],
-                )
-            else:
-                counts = [len(s.pending) for s in live]
-                epochs = [p.inputs for s in live for p in s.pending]
-                decisions = inor_stack(
-                    np.vstack([emf for emf, _ in epochs]),
-                    epochs[0][1],
-                    charger=live[0].policy.charger,
-                )
-            self._count_pass(len(decisions), len(live))
+            queues = [s.pending[:1] if dnor else s.pending for s in live]
+            epochs = [(s, p) for s, queue in zip(live, queues) for p in queue]
+            rows = decide_epochs(
+                [s.policy for s, _ in epochs],
+                [p.time_s for _, p in epochs],
+                [p.inputs for _, p in epochs],
+            )
+            self._count_pass(len(epochs), len(live))
             offset = 0
-            for session, count in zip(live, counts):
-                records = session.resolve(decisions[offset : offset + count])
-                offset += count
+            for session, queue in zip(live, queues):
+                records = session.resolve(rows[offset : offset + len(queue)])
+                offset += len(queue)
                 if records:
                     emitted.setdefault(session.session_id, []).extend(records)
 

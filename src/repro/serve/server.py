@@ -22,10 +22,12 @@ Protocol (one JSON object per line, requests → events):
   "session": id, "n_decisions": n}``.
 
 Errors come back as ``{"event": "error", "message": ...}`` without
-killing the connection.  The module also carries the self-contained
-demo driver used by the CLI and CI smoke: K concurrent asyncio clients
-streaming a registry trace in chunks, decision logs written as JSON
-lines and byte-diffed against the offline batch reference.
+killing the connection; only a request line longer than
+:data:`LINE_LIMIT_BYTES` also closes its connection.  The module also
+carries the self-contained demo used by the CLI and CI smoke: K
+concurrent asyncio clients streaming a registry trace in chunks,
+decision logs written as JSON lines and byte-diffed against the
+offline batch reference.
 """
 
 from __future__ import annotations
@@ -56,6 +58,10 @@ __all__ = [
     "run_offline_reference",
     "serve_forever",
 ]
+
+#: Longest request line (asyncio's default); a longer one gets an
+#: error event and its connection is closed.
+LINE_LIMIT_BYTES = 2**16
 
 FEED_COLUMNS = (
     "time_s",
@@ -133,7 +139,8 @@ class StreamServer:
     async def start(self) -> None:
         """Bind and start accepting connections."""
         self._server = await asyncio.start_server(
-            self._handle_connection, self._host, self._port
+            self._handle_connection, self._host, self._port,
+            limit=LINE_LIMIT_BYTES,
         )
 
     async def close(self) -> None:
@@ -215,7 +222,14 @@ class StreamServer:
         self._conn_writers.add(writer)
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:  # over the limit: report and hang up
+                    message = f"request line over {LINE_LIMIT_BYTES} bytes"
+                    await self._send(
+                        writer, {"event": "error", "message": message}
+                    )
+                    break
                 if not line:
                     break
                 try:

@@ -29,10 +29,11 @@ be decided online exactly as the offline batch engine would decide it:
   kernel inputs queue as a :class:`PendingEpoch`
   (:attr:`StreamSession.pending`); the
   :class:`~repro.serve.hub.SessionHub` decides the queued epochs of
-  every concurrent session in stacked kernel passes and hands the
-  results back through :meth:`StreamSession.resolve`, which commits
-  them through the policy's ``commit``.  Sense, decide and commit are
-  the policy's own code either way.
+  every concurrent session through the stacked epoch step
+  (:func:`~repro.sim.gridstack.decide_epochs`, which commits through
+  the policy's own ``commit``) and hands the applied configurations
+  back through :meth:`StreamSession.resolve`.  Sense, decide and commit
+  are the policy's own code either way.
 
 The emitted decision log — one :class:`DecisionRecord` per applied
 configuration — is byte-identical to :func:`offline_decision_log` run
@@ -107,9 +108,9 @@ def write_decision_log(records: Sequence[DecisionRecord], path) -> None:
             handle.write(record.to_json_line() + "\n")
 
 
-def _record(index: int, time_s: float, config) -> DecisionRecord:
-    """The log record of an applied configuration."""
-    starts = tuple(int(s) for s in config.starts)
+def _record(index: int, time_s: float, starts) -> DecisionRecord:
+    """The log record of an applied configuration's group starts."""
+    starts = tuple(int(s) for s in starts)
     return DecisionRecord(
         index=index, time_s=time_s, starts=starts, n_groups=len(starts)
     )
@@ -268,8 +269,8 @@ class StreamSession:
 
     @property
     def policy(self):
-        """The session's policy object (the hub reads its kernel state:
-        the INOR charger, the DNOR planner and current configuration)."""
+        """The session's policy object (the hub's epoch step decides
+        and commits through it)."""
         return self._policy
 
     @property
@@ -382,7 +383,7 @@ class StreamSession:
             else:
                 config = self._policy.decide(t, scanned[j], amb)
                 if config is not None:
-                    self._records.append(_record(index, t, config))
+                    self._records.append(_record(index, t, config.starts))
         self._sample_index += times.size
 
     def _check_chunk(
@@ -444,19 +445,21 @@ class StreamSession:
             trace.coolant_flow_sensed_kg_s[lo:hi],
         )
 
-    def resolve(self, decisions: Sequence) -> List[DecisionRecord]:
-        """Commit kernel decisions for the oldest pending epochs.
+    def resolve(self, rows: Sequence) -> List[DecisionRecord]:
+        """Retire the oldest pending epochs once the hub has decided them.
 
-        Called by the hub with one kernel result per epoch, for the
-        first ``len(decisions)`` pending epochs in queue order: all of
-        them for INOR (independent epochs), the head one per round for
-        DNOR (each epoch plans against the previous one's commit).
-        Each goes through the policy's ``commit``; returns (and stores)
-        the records of the configurations it applies.  A decision count
+        Called by the hub after its epoch step (which already ran the
+        policy's ``commit``) with one membership row per epoch, for the
+        first ``len(rows)`` pending epochs in queue order: all of them
+        for INOR (independent epochs), the head one per round for DNOR
+        (each epoch plans against the previous one's commit).  A row
+        holds the applied configuration's group starts, or is all
+        ``False`` where the epoch kept the configuration.  Returns (and
+        stores) the records of the applied configurations.  A row count
         of zero or more than :attr:`pending` raises
         :class:`~repro.errors.SimulationError` before any state changes.
         """
-        count = len(decisions)
+        count = len(rows)
         if not 0 < count <= len(self._pending):
             raise SimulationError(
                 f"session {self.session_id!r}: {count} decisions for "
@@ -464,11 +467,11 @@ class StreamSession:
             )
         epochs = self._pending[:count]
         del self._pending[:count]
-        emitted: List[DecisionRecord] = []
-        for epoch, decision in zip(epochs, decisions):
-            config = self._policy.commit(epoch.time_s, decision)
-            if config is not None:
-                emitted.append(_record(epoch.index, epoch.time_s, config))
+        emitted = [
+            _record(epoch.index, epoch.time_s, np.flatnonzero(row).tolist())
+            for epoch, row in zip(epochs, rows)
+            if row[0]
+        ]
         self._records.extend(emitted)
         return emitted
 
@@ -500,5 +503,5 @@ def offline_decision_log(
         t = float(trace.time_s[i])
         config = policy_obj.decide(t, scanned[i], float(trace.ambient_c[i]))
         if config is not None:
-            records.append(_record(i, t, config))
+            records.append(_record(i, t, config.starts))
     return records

@@ -25,7 +25,7 @@ import dataclasses
 import json
 import math
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -37,7 +37,7 @@ from repro.sim.results import SimulationResult, comparison_table, summary_row
 from repro.sim.scenario import Scenario
 
 #: Valid values of the ``executor`` argument.
-EXECUTORS = ("serial", "thread", "process", "shard", "gridstack")
+EXECUTORS = ("serial", "process", "shard", "gridstack")
 
 
 @dataclass(frozen=True)
@@ -286,13 +286,12 @@ class ExperimentRunner:
         The grid (see :func:`grid_cases`); names must be unique.
     executor:
         ``"process"`` (default) uses a :class:`ProcessPoolExecutor` —
-        right for CPU-bound policy loops; ``"thread"`` avoids pickling
-        and process start-up for small grids; ``"serial"`` runs inline
+        right for CPU-bound policy loops; ``"serial"`` runs inline
         (debugging, exact-equivalence tests); ``"shard"`` drives the
         grid through a durable :mod:`repro.sim.shard` directory — the
         same substrate independent hosts use — and collates its
         result artifacts (bit-identical to serial);
-        ``"gridstack"`` fuses homogeneous INOR cases into stacked
+        ``"gridstack"`` fuses homogeneous INOR/DNOR cases into stacked
         decision passes (:mod:`repro.sim.gridstack`), bit-identical to
         serial for everything but the wall-clock ``runtime_s`` series.
     max_workers:
@@ -409,10 +408,6 @@ class ExperimentRunner:
 
             physics = self._shared_physics()
             results = run_grid_stacked(self._cases, physics)
-        elif self._executor == "thread":
-            physics = self._shared_physics()
-            with ThreadPoolExecutor(max_workers=self._max_workers) as pool:
-                results = list(pool.map(run_case, self._cases, physics))
         elif self._executor == "shard":
             # Imported here: shard builds on this module (run_case,
             # ExperimentCase), so a top-level import would be circular.

@@ -8,19 +8,19 @@ but through *identical* kernels.  The ``executor="gridstack"`` path of
 :class:`~repro.sim.engine.ExperimentRunner` exploits that homogeneity:
 cases sharing one physics precompute, chain length, control period,
 converter and policy shape are grouped, and every decision epoch runs
-as **one** stacked kernel pass instead of ``C`` per-case policy calls:
+as **one** stacked kernel pass instead of ``C`` per-case policy calls.
+Each lane runs its own policy (``Scenario.make_policy``), whose
+``observe`` gates every sample, and :func:`decide_epochs` — the one
+stacked epoch step, shared with the serve hub — decides the due lanes:
 
-* **INOR** groups run :func:`repro.core.inor.inor_stack` over a
-  ``(C, N)`` EMF matrix per control period;
-* **DNOR** groups run :func:`repro.core.dnor.dnor_stack` per epoch —
-  one stacked INOR proposal pass plus one
-  :func:`repro.teg.network.array_mpp_rows_multi_stack` horizon-scoring
-  pass over every case's (current, candidate) pair, with per-case
-  predictor state carried between epochs;
+* **INOR** epochs in one batched INOR ranking over the stacked
+  ``(C, N)`` EMF matrix, winners gathered straight to membership rows;
+* **DNOR** epochs in one :func:`repro.core.dnor.dnor_stack` call, then
+  each lane's own ``commit``;
 * **Baseline** cases fuse trivially as a degenerate stack — one shared
   configuration, one span, one electrical pass.
 
-Every runner hands its decided configurations to one
+Every group hands its decided configurations to one
 :class:`~repro.sim.simulator.EpochLedger` lane per case and finishes in
 :func:`~repro.sim.simulator.collate_lanes` — the ledger and tail the
 serial engine runs as one lane.  So commissioning, billing, the fused
@@ -28,12 +28,11 @@ electrical pass, battery replay and result packaging are one body.
 
 Results are **bit-identical** to ``executor="serial"`` (pinned in the
 parity suite) for everything except the wall-clock ``runtime_s`` series,
-which by construction measures the *fused* decision cost split evenly
-across the group.  The scanner draw is per case, as in the serial
-engine; the decision epochs depend only on the shared time vector and
-period, so one :class:`~repro.core.controller.EpochClock` schedule
-drives every case; and ``inor_stack`` / ``dnor_stack`` are pinned
-equal lane for lane to the one-lane calls the serial policies make.
+which by construction measures the *fused* step's cost split evenly
+across its lanes.  The scanner draw is per case, as in the serial
+engine; the gate, history and commit are each lane's own policy code;
+and the stacked kernels are pinned equal lane for lane to the one-lane
+calls the serial policies make.
 
 Cases that do not fit the fused contract — EHTR, scalar-kernel INOR,
 measured (non-nominal) compute time, P&O tracking — fall back to
@@ -50,14 +49,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.controller import EpochClock
-from repro.core.dnor import dnor_stack, thevenin_from_temps
+from repro.core.dnor import dnor_stack
 from repro.core.inor import _inor_stack_raw
 from repro.errors import SimulationError
 from repro.sim.results import SimulationResult
 from repro.sim.simulator import EpochLedger, collate_lanes
 
-__all__ = ["fusable_reason", "run_grid_stacked", "stack_key"]
+__all__ = [
+    "decide_epochs", "fusable_reason", "run_grid_stacked", "stack_key"
+]
 
 
 def fusable_reason(case) -> Optional[str]:
@@ -103,6 +103,54 @@ def stack_key(scenario, policy: str) -> Tuple:
     return key
 
 
+def decide_epochs(
+    policies: Sequence, times: Sequence[float], inputs: Sequence[tuple]
+) -> np.ndarray:
+    """The one stacked epoch step: decide a stack group's due epochs.
+
+    Epoch ``j`` is what ``policies[j].observe`` returned at sample time
+    ``times[j]``.  The policies share one :func:`stack_key`, and a DNOR
+    policy appears at most once (its epochs chain).  INOR epochs are
+    ranked by one ``_inor_stack_raw`` pass and every winner applies;
+    DNOR epochs are planned by one ``dnor_stack`` pass against each
+    policy's current configuration, then committed in order through
+    each policy's own ``commit``.  Gridstack and the serve hub reach
+    the decision kernels only through here.
+
+    Returns one boolean group-start membership row per epoch: the
+    configuration it applies, or all ``False`` where it keeps the
+    current one (a configuration always starts a group at module 0).
+    """
+    if policies[0].name == "DNOR":
+        decisions = dnor_stack(
+            [policy.planner for policy in policies],
+            [history for history, _, _ in inputs],
+            np.array([ambient for _, ambient, _ in inputs]),
+            [policy.current_config for policy in policies],
+            new_rows=[new_rows for _, _, new_rows in inputs],
+        )
+        rows = np.zeros((len(inputs), inputs[0][0].shape[1]), dtype=bool)
+        for row, policy, t, decision in zip(rows, policies, times, decisions):
+            config = policy.commit(t, decision)
+            if config is not None:
+                row[list(config.starts)] = True
+        return rows
+
+    emf_rows = np.vstack([emf for emf, _ in inputs])
+    stack, _, _, _, _, winners, _, _ = _inor_stack_raw(
+        emf_rows, inputs[0][1], policies[0].charger
+    )
+    # Winner configurations -> membership rows, no per-epoch Python.
+    counts = np.diff(stack.offsets)[winners]
+    within = np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(
+        np.cumsum(counts) - counts, counts
+    )
+    starts = stack.cat[np.repeat(stack.offsets[winners], counts) + within]
+    rows = np.zeros(emf_rows.shape, dtype=bool)
+    rows[np.repeat(np.arange(len(inputs)), counts), starts] = True
+    return rows
+
+
 def _group_key(case, physics_id) -> Tuple:
     """Hashable fused-group identity: one key, one stacked epoch stream.
 
@@ -115,18 +163,6 @@ def _group_key(case, physics_id) -> Tuple:
         physics_id,
         float(scenario.control_period_s),
     )
-
-
-def _decision_schedule(time_s: np.ndarray, period_s: float) -> List[int]:
-    """Sample indices where a periodic policy fires.
-
-    Gates through the same :class:`~repro.core.controller.EpochClock`
-    as :class:`~repro.core.controller.PeriodicPolicy` and
-    :class:`~repro.core.controller.DNORPolicy`, so the fused loop visits
-    precisely the samples the per-case loops would decide on.
-    """
-    clock = EpochClock(period_s)
-    return [i for i in range(time_s.size) if clock.due(float(time_s[i]))]
 
 
 def _scan_group(cases: Sequence, physics) -> np.ndarray:
@@ -156,99 +192,42 @@ def _collate(
     return collate_lanes(physics, ledger, chargers, overheads, scheme)
 
 
-def _run_inor_group(cases: Sequence, physics) -> List[SimulationResult]:
-    """Run one homogeneous INOR group through the fused stacked pass."""
-    scenario0 = cases[0].scenario
-    trace = physics.trace
-    n_cases = len(cases)
-    n_modules = physics.n_modules
-    module = scenario0.module
-    rank_charger = scenario0.make_charger(with_battery=False)
-    scanned = _scan_group(cases, physics)
-    nominal = [case.scenario.nominal_compute_s for case in cases]
+def _run_stacked_group(cases: Sequence, physics) -> List[SimulationResult]:
+    """Run one homogeneous INOR or DNOR group, one stacked step per epoch.
 
-    ledger = EpochLedger(n_cases, n_modules, trace.n_samples)
-    case_index = np.arange(n_cases)
-    for i in _decision_schedule(trace.time_s, scenario0.control_period_s):
-        ambient = float(trace.ambient_c[i])
-        # One stacked Thevenin + INOR pass decides every case at once.
-        emf_rows, resistance = thevenin_from_temps(
-            module, scanned[:, i, :], ambient
-        )
-        t0 = time.perf_counter()
-        stack, _, _, _, _, winners, _, _ = _inor_stack_raw(
-            emf_rows, resistance[0], rank_charger
-        )
-        ledger.runtimes[:, i] = (time.perf_counter() - t0) / n_cases
-
-        # Winner configurations -> membership rows, no per-case Python.
-        winner_counts = np.diff(stack.offsets)[winners]
-        flat_lo = stack.offsets[winners]
-        lane = np.arange(int(winner_counts.sum()), dtype=np.int64)
-        within = lane - np.repeat(
-            np.cumsum(winner_counts) - winner_counts, winner_counts
-        )
-        starts_vals = stack.cat[np.repeat(flat_lo, winner_counts) + within]
-        decided = np.zeros((n_cases, n_modules), dtype=bool)
-        decided[np.repeat(case_index, winner_counts), starts_vals] = True
-        ledger.apply(i, float(trace.time_s[i]), case_index, decided, nominal)
-
-    return _collate(cases, physics, ledger, "INOR")
-
-
-def _run_dnor_group(cases: Sequence, physics) -> List[SimulationResult]:
-    """Run one homogeneous DNOR group through the stacked epoch kernel.
-
-    Per-case :class:`~repro.core.controller.DNORPolicy` state —
-    predictor stream, history window, durable configuration — is
-    carried per lane; every epoch decision runs through **one**
-    :func:`repro.core.dnor.dnor_stack` call, and the switched lanes'
-    configurations go to the shared :class:`EpochLedger`.
+    Each case runs its own policy (built by ``Scenario.make_policy``):
+    every sample goes through the lane's own ``observe``, the due lanes
+    are decided together by :func:`decide_epochs`, and the applied
+    configurations go to the shared :class:`EpochLedger`.  Only the
+    step is timed, split evenly across its lanes.
     """
     trace = physics.trace
-    n_cases = len(cases)
-    policies = [case.scenario.make_dnor_policy() for case in cases]
-    planners = [policy.planner for policy in policies]
-    caps = [policy.history_rows for policy in policies]
+    policies = [case.scenario.make_policy(case.policy) for case in cases]
     scanned = _scan_group(cases, physics)
-    nominal = [case.scenario.nominal_compute_s for case in cases]
+    nominal = np.array([case.scenario.nominal_compute_s for case in cases])
 
-    ledger = EpochLedger(n_cases, physics.n_modules, trace.n_samples)
-    currents: List[Optional[object]] = [None] * n_cases
-    prev_i: Optional[int] = None
-    for i in _decision_schedule(trace.time_s, planners[0].epoch_seconds):
+    ledger = EpochLedger(len(cases), physics.n_modules, trace.n_samples)
+    for i in range(trace.n_samples):
+        t = float(trace.time_s[i])
         ambient = float(trace.ambient_c[i])
-        # The policy's history deque holds the last `cap` sensed rows,
-        # appended every control period; `new_rows` counts the arrivals
-        # since the previous epoch (the incremental-refit stream).
-        new_rows = i + 1 if prev_i is None else i - prev_i
-        histories = [
-            scanned[k, max(0, i + 1 - caps[k]) : i + 1, :]
-            for k in range(n_cases)
-        ]
+        lanes, inputs = [], []
+        for k, policy in enumerate(policies):
+            observed = policy.observe(t, scanned[k, i], ambient)
+            if observed is not None:
+                lanes.append(k)
+                inputs.append(observed)
+        if not lanes:
+            continue
         t0 = time.perf_counter()
-        decisions = dnor_stack(
-            planners,
-            histories,
-            ambient,
-            currents,
-            new_rows=[new_rows] * n_cases,
+        rows = decide_epochs(
+            [policies[k] for k in lanes], [t] * len(lanes), inputs
         )
-        ledger.runtimes[:, i] = (time.perf_counter() - t0) / n_cases
+        ledger.runtimes[lanes, i] = (time.perf_counter() - t0) / len(lanes)
+        applied = rows[:, 0]  # every configuration starts at module 0
+        lanes = np.array(lanes)[applied]
+        ledger.apply(i, t, lanes, rows[applied], nominal[lanes])
 
-        switched = [k for k, decision in enumerate(decisions) if decision.switch]
-        for k in switched:
-            currents[k] = decisions[k].config
-        ledger.apply_starts(
-            i,
-            float(trace.time_s[i]),
-            switched,
-            [currents[k].starts for k in switched],
-            [nominal[k] for k in switched],
-        )
-        prev_i = i
-
-    return _collate(cases, physics, ledger, "DNOR")
+    return _collate(cases, physics, ledger, policies[0].name)
 
 
 def _run_baseline_group(cases: Sequence, physics) -> List[SimulationResult]:
@@ -276,15 +255,6 @@ def _run_baseline_group(cases: Sequence, physics) -> List[SimulationResult]:
     return _collate(cases, physics, ledger, "Baseline")
 
 
-# Policy name -> module attribute of the group runner (resolved late so
-# tests can monkeypatch the runners).
-_GROUP_RUNNERS = {
-    "INOR": "_run_inor_group",
-    "DNOR": "_run_dnor_group",
-    "Baseline": "_run_baseline_group",
-}
-
-
 def run_grid_stacked(
     cases: Sequence, physics_per_case: Sequence
 ) -> List[SimulationResult]:
@@ -306,7 +276,9 @@ def run_grid_stacked(
             results[index] = run_case(case, physics)
     for key, indices in groups.items():
         members = [cases[i] for i in indices]
-        runner = globals()[_GROUP_RUNNERS[key[0]]]
+        runner = (
+            _run_baseline_group if key[0] == "Baseline" else _run_stacked_group
+        )
         try:
             fused = runner(members, physics_per_case[indices[0]])
         except Exception as exc:

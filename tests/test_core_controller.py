@@ -1,5 +1,7 @@
 """Tests for repro.core.controller — the policy layer."""
 
+import collections
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,32 @@ class TestDNORPolicy:
         planner = self.make_policy().planner
         assert DNORPolicy(planner, history_rows=7).history_rows == 7
         assert DNORPolicy(planner).history_rows == 360
+
+    @pytest.mark.parametrize("step_s", [0.5, 2.0])
+    def test_history_buffer_is_a_bounded_window(self, step_s):
+        """Every epoch's history is the last ``min(4, seen)`` rows, as a
+        ``deque(maxlen=4)`` keeps them, and every history handed out
+        earlier keeps its bits across buffer growth, compaction and
+        reset."""
+        policy = DNORPolicy(self.make_policy().planner, history_rows=4)
+        rng = np.random.default_rng(11)
+        reference = collections.deque(maxlen=4)
+        handed = []
+        for i in range(50):
+            row = rng.normal(60.0, 5.0, size=16)
+            reference.append(row.copy())
+            inputs = policy.observe(i * step_s, row, 25.0)
+            if inputs is None:
+                continue
+            history = inputs[0]
+            assert history.tobytes() == np.vstack(reference).tobytes()
+            handed.append((history, history.copy()))
+        assert len(handed) >= 12
+        policy.reset()
+        for i in range(20):
+            policy.observe(i * step_s, np.full(16, -1.0), 25.0)
+        for history, snapshot in handed:
+            assert history.tobytes() == snapshot.tobytes()
 
 
 def _sensed_scenario(name):

@@ -27,7 +27,12 @@ from repro.serve import (
     StreamSession,
     offline_decision_log,
 )
-from repro.serve.server import FEED_COLUMNS, decode_column, encode_column
+from repro.serve.server import (
+    FEED_COLUMNS,
+    LINE_LIMIT_BYTES,
+    decode_column,
+    encode_column,
+)
 from repro.sim.scenario import build_named_scenario, default_registry
 from repro.thermal.exhaust import ExhaustGasBoundary
 from repro.thermal.radiator import Radiator
@@ -227,6 +232,32 @@ class TestHubStacking:
             session.records,
             offline_decision_log(scenario, "DNOR"),
             "dnor drain",
+        )
+
+    def test_queued_dnor_history_survives_later_feeds(self):
+        """A queued DNOR epoch's history is a view of the policy's row
+        buffer: feeding more chunks before ``run_epoch`` (growing and
+        compacting that buffer) must leave it unchanged, bit for bit."""
+        scenario = build_named_scenario(
+            "porter-ii", duration_s=12.0, n_modules=9
+        )
+        trace = scenario.trace
+        hub = SessionHub()
+        session = hub.add(StreamSession(scenario, "DNOR", "dview"))
+        session.feed_trace(trace, 0, 5)
+        queued = session.pending
+        assert queued
+        snapshots = [p.inputs[0].copy() for p in queued]
+        for lo in range(5, trace.n_samples, 3):
+            session.feed_trace(trace, lo, min(lo + 3, trace.n_samples))
+        assert len(session.pending) > len(queued)
+        for epoch, snapshot in zip(queued, snapshots):
+            assert epoch.inputs[0].tobytes() == snapshot.tobytes()
+        hub.run_epoch()
+        _assert_logs_equal(
+            session.records,
+            offline_decision_log(scenario, "DNOR"),
+            "dnor queued views",
         )
 
     def test_mixed_inor_dnor_hub_resolves_in_one_run_epoch(self):
@@ -769,6 +800,40 @@ class TestAsyncioServer:
                 json.loads(r.to_json_line()) for r in offline
             ] == records
         assert stats.rows_decided == sum(len(r) for r in results)
+
+    def test_overlong_line_gets_an_error_and_others_go_on(self):
+        """A request line over the stream limit gets a typed error event
+        naming the limit and a clean close; a concurrent client's
+        session still decides exactly like the offline reference."""
+        assert LINE_LIMIT_BYTES < 70 * 1024
+
+        async def overlong(port):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(b'{"op": "stats", "pad": "' + b"x" * (70 * 1024))
+            writer.write(b'"}\n')
+            await writer.drain()
+            event = json.loads(await reader.readline())
+            tail = await reader.read()  # the server hangs up
+            writer.close()
+            return event, tail
+
+        async def main():
+            server = StreamServer()
+            await server.start()
+            try:
+                script = self._client_script("porter-ii", "veh-ok", 505, 16)
+                event, tail = await overlong(server.port)
+                records = await self._drive(server.port, *script[:3])
+            finally:
+                await server.close()
+            return event, tail, script[3], records
+
+        event, tail, scenario, records = asyncio.run(main())
+        assert event["event"] == "error"
+        assert str(LINE_LIMIT_BYTES) in event["message"]
+        assert tail == b""
+        offline = offline_decision_log(scenario, "INOR")
+        assert [json.loads(r.to_json_line()) for r in offline] == records
 
     def test_server_reports_errors_without_dying(self):
         async def main():

@@ -288,7 +288,7 @@ class TestExperimentRunnerEquivalence:
             )
         return results
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_bit_identical_to_sequential(self, scenario, sequential, executor):
         cases = grid_cases([scenario], ["DNOR", "INOR", "Baseline"])
         collation = ExperimentRunner(

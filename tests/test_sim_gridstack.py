@@ -3,8 +3,9 @@
 The executor-level *bitwise* parity against ``executor="serial"`` lives
 in :mod:`tests.test_engine_parity`; this module pins the plumbing around
 the fused pass — which cases may fuse (:func:`fusable_reason`), that the
-fused decision schedule is exactly the
-:class:`~repro.core.controller.PeriodicPolicy` gating, that unfusable
+fused lanes decide like the serial executor over any time shape (and
+fire on exactly the :class:`~repro.core.controller.PeriodicPolicy`
+gate's samples), that unfusable
 cases fall back to the untouched per-case path in collation order, and
 that group failures surface with the member case names attached.
 """
@@ -20,7 +21,6 @@ from repro.power.charger import TEGCharger
 from repro.sim import gridstack
 from repro.sim.engine import EXECUTORS, ExperimentRunner, grid_cases, run_case
 from repro.sim.gridstack import (
-    _decision_schedule,
     _group_key,
     fusable_reason,
     run_grid_stacked,
@@ -114,45 +114,106 @@ def _policy_firings(scenario, time_s, period):
     ]
 
 
+def _retimed(scenario, time_s, **overrides):
+    """``scenario`` over its trace's first ``len(time_s)`` samples,
+    re-stamped at ``time_s``."""
+    trace = scenario.trace
+    n = len(time_s)
+    columns = {
+        field.name: getattr(trace, field.name)[:n]
+        for field in dataclasses.fields(trace)
+        if field.name not in ("time_s", "name")
+    }
+    trace = dataclasses.replace(
+        trace, time_s=np.asarray(time_s, dtype=float), **columns
+    )
+    return dataclasses.replace(scenario, trace=trace, **overrides)
+
+
+def _stacked_equals_serial(scenario):
+    """Run INOR and DNOR cases through the gridstack and serial
+    executors, assert bit parity, and return the stacked results by
+    policy (lowest-noise case)."""
+    cases = grid_cases(
+        [scenario], ["INOR", "DNOR"], scanner_noise_std_k=[0.02, 0.08]
+    )
+    stacked = ExperimentRunner(cases, executor="gridstack").run()
+    serial = ExperimentRunner(cases, executor="serial").run()
+    by_policy = {}
+    for case in cases:
+        assert fusable_reason(case) is None
+        a, b = serial[case.name], stacked[case.name]
+        for field in ("delivered_power_w", "gross_power_w", "n_groups_series"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+        assert a.switch_times_s == b.switch_times_s
+        assert a.overhead_events == b.overhead_events
+        by_policy.setdefault(case.policy, b)
+    return by_policy
+
+
+def _fired(result):
+    """Samples a fused lane decided on: the step is timed only there."""
+    return np.flatnonzero(result.runtime_s).tolist()
+
+
 class TestDecisionSchedule:
-    """The fused schedule is the PeriodicPolicy gate, float for float —
-    fed the same doubles, it must fire on the same samples."""
+    """Each fused lane gates through its own policy, so the gridstack
+    executor decides bit for bit like the serial one over any time
+    shape, and INOR fires on exactly the PeriodicPolicy gate's samples."""
 
     @pytest.mark.parametrize(
         "dt,period",
         [(0.1, 0.5), (0.1, 0.25), (0.3, 0.5), (0.1, 0.1), (0.7, 0.5)],
     )
     def test_matches_periodic_policy_gate(self, scenario, dt, period):
-        time_s = np.arange(120) * dt
+        time_s = np.arange(scenario.trace.n_samples) * dt
         fired = _policy_firings(scenario, time_s, period)
-        assert _decision_schedule(time_s, period) == fired
+        stacked = _stacked_equals_serial(
+            _retimed(scenario, time_s, control_period_s=period)
+        )
+        assert _fired(stacked["INOR"]) == fired
 
-    def test_first_sample_always_fires(self):
-        assert _decision_schedule(np.array([0.0, 0.5, 1.0]), 10.0) == [0]
+    def test_first_sample_always_fires(self, scenario):
+        stacked = _stacked_equals_serial(
+            _retimed(scenario, [0.0, 0.5, 1.0], control_period_s=10.0)
+        )
+        for result in stacked.values():
+            assert _fired(result) == [0]
+            assert result.switch_times_s == ()  # the first one is free
 
-    def test_period_shorter_than_sample_dt_fires_every_sample(self):
+    def test_period_shorter_than_sample_dt_fires_every_sample(self, scenario):
         """The gate re-arms from the firing sample's time, so a period
         below the sampling interval degenerates to every-sample."""
         time_s = np.arange(10) * 0.5
-        assert _decision_schedule(time_s, 0.1) == list(range(10))
+        stacked = _stacked_equals_serial(
+            _retimed(scenario, time_s, control_period_s=0.1)
+        )
+        assert _fired(stacked["INOR"]) == list(range(10))
 
-    def test_trace_shorter_than_one_period(self):
+    def test_trace_shorter_than_one_period(self, scenario):
         """A trace that ends before the second epoch only ever fires
         the initial decision."""
-        assert _decision_schedule(np.array([0.0]), 5.0) == [0]
-        assert _decision_schedule(np.arange(4) * 0.1, 5.0) == [0]
+        for time_s in ([0.0, 0.1], np.arange(4) * 0.1):
+            stacked = _stacked_equals_serial(
+                _retimed(scenario, time_s, control_period_s=5.0)
+            )
+            for result in stacked.values():
+                assert _fired(result) == [0]
 
     def test_non_uniform_time_matches_periodic_policy(self, scenario):
         """Irregular sample spacing (jittered, with a gap) gates
         exactly like PeriodicPolicy fed the same doubles."""
         rng = np.random.default_rng(7)
-        steps = rng.uniform(0.05, 0.4, size=60)
-        steps[25] = 3.0  # a telemetry gap longer than the period
+        steps = rng.uniform(0.05, 0.4, size=scenario.trace.n_samples - 1)
+        steps[12] = 3.0  # a telemetry gap longer than the period
         time_s = np.concatenate([[0.0], np.cumsum(steps)])
         period = 0.5
         fired = _policy_firings(scenario, time_s, period)
-        assert fired  # the jittered trace must actually fire
-        assert _decision_schedule(time_s, period) == fired
+        assert len(fired) > 2  # the jittered trace must actually fire
+        stacked = _stacked_equals_serial(
+            _retimed(scenario, time_s, control_period_s=period)
+        )
+        assert _fired(stacked["INOR"]) == fired
 
 
 class TestGroupingAndFallback:
@@ -215,7 +276,7 @@ class TestGroupingAndFallback:
         def boom(cases, physics):
             raise ValueError("kernel exploded")
 
-        monkeypatch.setattr(gridstack, "_run_inor_group", boom)
+        monkeypatch.setattr(gridstack, "_run_stacked_group", boom)
         with pytest.raises(SimulationError) as excinfo:
             run_grid_stacked(cases, [physics])
         assert cases[0].name in str(excinfo.value)
