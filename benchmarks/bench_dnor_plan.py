@@ -5,8 +5,9 @@ Algorithm 2 compares the old configuration against its proposal over a
 :meth:`~repro.core.dnor.DNORPlanner._horizon_energy` call — one
 ``array_mpp_rows`` reduction plus one converter pass — per
 configuration; the stacked side scores *every* configuration over the
-whole horizon in one :func:`repro.teg.network.array_mpp_rows_multi`
-reduction plus one batched converter call (the scoring body of a
+whole horizon in one
+:func:`repro.teg.network.array_mpp_rows_multi_stack` reduction plus one
+batched converter call (the scoring body of a
 :func:`repro.core.dnor.dnor_stack` epoch), bit-identical to the
 sequential loop.
 
@@ -38,7 +39,7 @@ from repro.core.overhead import SwitchingOverheadModel
 from repro.power.charger import TEGCharger
 from repro.prediction.mlr import MLRPredictor
 from repro.teg.datasheet import TGM_199_1_4_0_8
-from repro.teg.network import array_mpp_rows_multi
+from repro.teg.network import array_mpp_rows_multi_stack
 
 N_MODULES = int(os.environ.get("REPRO_BENCH_DNOR_MODULES", "100"))
 CONFIG_COUNTS = tuple(
@@ -93,8 +94,11 @@ def stacked_energies(planner, configs, rows, ambient_c) -> np.ndarray:
     module = TGM_199_1_4_0_8
     emf_rows = module.emf_coefficient() * (rows - ambient_c)
     resistance = np.full(rows.shape[1], module.internal_resistance())
-    power, voltage = array_mpp_rows_multi(
-        emf_rows, resistance, [config.starts for config in configs]
+    power, voltage = array_mpp_rows_multi_stack(
+        emf_rows[None],
+        resistance,
+        [config.starts for config in configs],
+        np.zeros(len(configs), np.int64),
     )
     delivered = planner._charger.delivered_batch(power, voltage)
     return delivered.sum(axis=1) * planner._sample_dt_s

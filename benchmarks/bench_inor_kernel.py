@@ -16,7 +16,8 @@ candidates:
 
 * the batched *sweep* (scoring only) must be >= 3x the scalar loop;
 * the **end-to-end** ``inor()`` call — build + score + rank — must be
-  >= 3x the ``kernel="scalar"`` reference.
+  >= 3x the ``_inor_scalar`` reference loop (same validation and
+  window, then one greedy walk and one ``array_mpp`` per candidate).
 
 Environment knobs (used by the CI smoke job):
 
@@ -32,7 +33,7 @@ import time
 import numpy as np
 
 from conftest import emit, write_artifact
-from repro.core.inor import greedy_balanced_partition, inor
+from repro.core.inor import _inor_scalar, greedy_balanced_partition, inor
 from repro.power.charger import TEGCharger
 from repro.teg.network import array_mpp, array_mpp_multi
 
@@ -87,9 +88,9 @@ def sweep_rows():
             return best
 
         def batched_sweep():
-            # validate=False mirrors inor(kernel="batched"): the greedy
-            # partitions are correct by construction, exactly as the
-            # scalar loop's array_mpp validation was the old inor path.
+            # validate=False mirrors inor(): the greedy partitions are
+            # correct by construction, exactly as the scalar loop's
+            # array_mpp validation was the old inor path.
             power, voltage, _ = array_mpp_multi(
                 emf, resistance, candidates, validate=False
             )
@@ -103,16 +104,16 @@ def sweep_rows():
                 measure(scalar_sweep),
                 measure(batched_sweep),
                 measure(
-                    lambda: inor(
+                    lambda: _inor_scalar(
                         emf, resistance, charger=charger,
-                        n_min=1, n_max=width, kernel="scalar",
+                        n_min=1, n_max=width,
                     ),
                     inner=50,
                 ),
                 measure(
                     lambda: inor(
                         emf, resistance, charger=charger,
-                        n_min=1, n_max=width, kernel="batched",
+                        n_min=1, n_max=width,
                     ),
                     inner=50,
                 ),
@@ -177,7 +178,7 @@ def test_batched_sweep_speedup():
             f"loop at window {width}"
         )
         assert t_is / t_ib >= GATE_INOR_SPEEDUP, (
-            f"end-to-end inor(kernel='batched') only {t_is / t_ib:.1f}x "
-            f"faster than kernel='scalar' at window {width} — the "
+            f"end-to-end inor() only {t_is / t_ib:.1f}x "
+            f"faster than _inor_scalar at window {width} — the "
             f"partition build is the remaining cost"
         )

@@ -3,10 +3,10 @@
 Layer 6 earns its keep on three measurable claims, each gated here:
 
 1. **Micro-batched epochs beat sequential decisions.**  K concurrent
-   sessions resolved through the hub's single stacked ``inor_stack``
-   pass per epoch must out-run the same rows decided one scalar-path
-   ``inor`` call at a time — the whole point of stacking the
-   ``(sessions, N)`` EMF matrix.
+   sessions resolved through the hub's single stacked INOR pass
+   (``gridstack.decide_epochs``) per epoch must out-run the same rows
+   decided one scalar-path ``inor`` call at a time — the whole point of
+   stacking the ``(sessions, N)`` EMF matrix.
 2. **Per-decision latency is interactive.**  The asyncio front-end's
    p50 per-decision wall time (feed → decision event, measured over a
    real TCP round trip) must stay well under a control period.

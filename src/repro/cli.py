@@ -33,7 +33,6 @@ Every command is deterministic given its ``--seed``.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
@@ -41,7 +40,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro._about import PAPER_ARXIV, PAPER_TITLE, PAPER_VENUE, __version__
-from repro.core.inor import INOR_KERNELS, inor
+from repro.core.inor import inor
 from repro.core.period_tradeoff import sweep_fixed_period
 from repro.power.charger import TEGCharger
 from repro.errors import TegkitError
@@ -64,15 +63,6 @@ from repro.sim.shard import (
 from repro.teg.array import TEGArray
 from repro.teg.datasheet import MODULE_CATALOG, get_module
 from repro.vehicle.trace_io import save_trace
-
-
-def _add_kernel_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--kernel",
-        choices=INOR_KERNELS,
-        default="batched",
-        help="INOR candidate kernel (bit-identical results; batched is faster)",
-    )
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
@@ -107,10 +97,7 @@ def _cmd_reconfigure(args: argparse.Namespace) -> int:
     array.set_delta_t(_profile(args))
     charger = TEGCharger()
     result = inor(
-        array.emf_vector(),
-        array.resistance_vector(),
-        charger=charger,
-        kernel=args.kernel,
+        array.emf_vector(), array.resistance_vector(), charger=charger
     )
     print(f"module:        {module.name} x {args.modules}")
     print(
@@ -130,10 +117,7 @@ def _cmd_reconfigure(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    scenario = dataclasses.replace(
-        default_scenario(duration_s=args.duration, seed=args.seed),
-        inor_kernel=args.kernel,
-    )
+    scenario = default_scenario(duration_s=args.duration, seed=args.seed)
     if args.save_trace:
         path = save_trace(scenario.trace, args.save_trace)
         print(f"trace saved to {path}")
@@ -191,14 +175,11 @@ def _build_grid(args: argparse.Namespace) -> Optional[List[ExperimentCase]]:
         )
         return None
     scenarios = [
-        dataclasses.replace(
-            registry.build(
-                name,
-                duration_s=args.duration,
-                seed=args.seed,
-                n_modules=args.modules,
-            ),
-            inor_kernel=args.kernel,
+        registry.build(
+            name,
+            duration_s=args.duration,
+            seed=args.seed,
+            n_modules=args.modules,
         )
         for name in wanted
     ]
@@ -489,7 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     recon.add_argument("--dt-peak", type=float, default=67.0, dest="dt_peak")
     recon.add_argument("--dt-floor", type=float, default=12.0, dest="dt_floor")
     recon.add_argument("--steepness", type=float, default=2.2)
-    _add_kernel_arg(recon)
     recon.set_defaults(handler=_cmd_reconfigure)
 
     simulate = sub.add_parser(
@@ -505,7 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument(
         "--save-trace", default=None, help="also write the trace CSV here"
     )
-    _add_kernel_arg(simulate)
     simulate.set_defaults(handler=_cmd_simulate)
 
     batch = sub.add_parser(
@@ -556,7 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
         dest="cache_dir",
         help="on-disk physics cache shared across cases, workers and runs",
     )
-    _add_kernel_arg(batch)
     batch.set_defaults(handler=_cmd_batch)
 
     shard = sub.add_parser(
@@ -586,7 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
     shard_init.add_argument(
         "--modules", type=int, default=None, help="override chain length N"
     )
-    _add_kernel_arg(shard_init)
     shard_init.add_argument(
         "--no-warm",
         action="store_true",

@@ -30,7 +30,7 @@ import numpy as np
 from repro.core.config import ArrayConfiguration
 from repro.core.dnor import DNORDecision, DNORPlanner, thevenin_from_temps
 from repro.core.ehtr import ehtr
-from repro.core.inor import check_inor_kernel, inor
+from repro.core.inor import inor
 from repro.errors import ConfigurationError
 from repro.power.charger import TEGCharger
 from repro.teg.model import ModuleModel
@@ -136,10 +136,6 @@ class PeriodicPolicy(ReconfigurationPolicy):
     charger:
         Supplied to INOR for its converter-aware ranking; EHTR (the
         prior work) ignores it by design.
-    kernel:
-        INOR candidate-evaluation kernel (``"batched"`` — the default
-        fast path — or the ``"scalar"`` reference loop); bit-identical
-        decisions either way.  EHTR ignores it.
     """
 
     def __init__(
@@ -148,7 +144,6 @@ class PeriodicPolicy(ReconfigurationPolicy):
         algorithm: str = "inor",
         period_s: float = 0.5,
         charger: Optional[TEGCharger] = None,
-        kernel: str = "batched",
     ) -> None:
         if algorithm not in ("inor", "ehtr"):
             raise ConfigurationError(
@@ -156,11 +151,9 @@ class PeriodicPolicy(ReconfigurationPolicy):
             )
         if period_s <= 0.0:
             raise ConfigurationError(f"period_s must be > 0, got {period_s}")
-        check_inor_kernel(kernel)
         self._module = module
         self._algorithm = algorithm
         self._charger = charger
-        self._kernel = kernel
         self._clock = EpochClock(period_s)
 
     @property
@@ -205,7 +198,7 @@ class PeriodicPolicy(ReconfigurationPolicy):
             return None
         emf, res = inputs
         if self._algorithm == "inor":
-            result = inor(emf, res, charger=self._charger, kernel=self._kernel)
+            result = inor(emf, res, charger=self._charger)
         else:
             result = ehtr(emf, res)
         return self.commit(time_s, result)

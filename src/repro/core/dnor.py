@@ -438,7 +438,7 @@ def dnor_stack(
     invocations:
 
     * every lane's INOR proposal comes from **one**
-      :func:`repro.core.inor.inor_stack`-style pass over the stacked
+      :func:`repro.core.inor._inor_stack_raw` pass over the stacked
       ``(K, N)`` EMF matrix;
     * every scoring lane's ``(current, candidate)`` horizon energies
       come from **one** :func:`repro.teg.network.array_mpp_rows_multi_stack`
@@ -489,7 +489,7 @@ def dnor_stack(
     resistance = np.full(n_modules, ref._module.internal_resistance())
 
     # Fused pass 1: every lane's INOR proposal from one stacked call
-    # (bit-identical per lane to inor(), via the inor_stack parity pin).
+    # (bit-identical per lane to inor(), via the stacked parity pins).
     t0 = time.perf_counter()
     stack, _, _, _, _, winners, _, _ = _inor_stack_raw(
         emf_rows, resistance, ref._charger

@@ -28,19 +28,21 @@ converter efficiency at the MPP voltage); without one, by raw
 electrical MPP power.
 
 The whole decision is vectorised, and the one-case call of the
-grid-stacked pass: the default ``kernel="batched"`` runs
-:func:`_inor_stack_raw` over a one-row EMF matrix, which builds the
-greedy partition of every group count through
-:func:`repro.teg.network.partition_multi_stack`, evaluates every
-candidate's exact MPP through
+grid-stacked pass: :func:`inor` runs :func:`_inor_stack_raw` over a
+one-row EMF matrix, which builds the greedy partition of every group
+count through :func:`repro.teg.network.partition_multi_stack`,
+evaluates every candidate's exact MPP through
 :func:`repro.teg.network.array_mpp_multi_stack` and ranks the window
 with the charger's row-vector API — build + score + rank with no
-per-candidate Python, bit-identical to the retained ``kernel="scalar"``
-reference loop (one greedy walk plus one ``array_mpp`` call per
-candidate).  :func:`inor_stack` runs the same pass over a stacked case
-grid, and :func:`repro.core.dnor.dnor_stack` takes its proposals from
-it.  The group-count window comes from the charger at the fixed
-converter tolerance :data:`WINDOW_EFFICIENCY_DROP`.
+per-candidate Python.  The gridstack executor and the serve hub rank
+stacked case grids through the same pass
+(:func:`repro.sim.gridstack.decide_epochs`), and
+:func:`repro.core.dnor.dnor_stack` takes its proposals from it.  The
+per-candidate loop of the pseudo-code above (one greedy walk plus one
+``array_mpp`` call per candidate) survives only as the test oracle
+:func:`_inor_scalar`, pinned bit-identical to :func:`inor`.  The
+group-count window comes from the charger at the fixed converter
+tolerance :data:`WINDOW_EFFICIENCY_DROP`.
 """
 
 from __future__ import annotations
@@ -66,22 +68,12 @@ from repro.teg.network import (
 from repro.teg.network import array_mpp_multi, partition_multi  # noqa: F401
 
 __all__ = [
-    "INOR_KERNELS",
     "InorResult",
-    "check_inor_kernel",
     "converter_aware_group_range",
     "converter_aware_group_range_rows",
     "greedy_balanced_partition",
     "inor",
-    "inor_stack",
 ]
-
-#: Valid values of the :func:`inor` ``kernel`` argument.  ``"batched"``
-#: is the one-case call of the stacked pass :func:`_inor_stack_raw`;
-#: ``"scalar"`` is the pre-vectorisation per-candidate loop, retained as
-#: the reference implementation the batched kernel is pinned
-#: bit-identical against.
-INOR_KERNELS = ("batched", "scalar")
 
 #: Converter-efficiency tolerance below peak that bounds every INOR
 #: group-count window: candidates keep the array MPP voltage inside the
@@ -92,15 +84,6 @@ WINDOW_EFFICIENCY_DROP = 0.03
 #: :func:`_proven_dead`, covering the rounding of both the bound and
 #: the candidates' computed MPP powers.
 DEAD_BOUND_MARGIN = 1.0e-6
-
-
-def check_inor_kernel(kernel: str) -> str:
-    """Return ``kernel`` if it is one of :data:`INOR_KERNELS`, else raise."""
-    if kernel not in INOR_KERNELS:
-        raise ConfigurationError(
-            f"kernel must be one of {INOR_KERNELS}, got {kernel!r}"
-        )
-    return kernel
 
 
 @dataclass(frozen=True)
@@ -161,69 +144,19 @@ def converter_aware_group_range(
     return int(n_mins[0]), int(n_maxs[0])
 
 
-def _score_candidates_scalar(
+def _inor_window(
     emf: np.ndarray,
     resistance: np.ndarray,
-    candidates: list,
     charger: Optional[TEGCharger],
-) -> Tuple[int, MPPPoint, float]:
-    """Reference per-candidate loop: one ``array_mpp`` call per ``n``.
+    n_min: Optional[int],
+    n_max: Optional[int],
+) -> Tuple[np.ndarray, np.ndarray, int, int]:
+    """Validated ``(emf, resistance, lo, hi)`` for one INOR call.
 
-    Kept as the ground truth the batched kernel is validated against
-    (and for profiling comparisons); returns the winning candidate
-    index, its MPP and its score.  The winner follows ``np.argmax``'s
-    rule, as the batched ranking does: the first maximum wins (ties
-    keep the smallest ``n``, like the paper's ascending scan), and a NaN
-    score counts as the maximum, so the first NaN wins.
+    The prelude :func:`inor` and :func:`_inor_scalar` share: float
+    vectors of one shape, and the group-count window with any explicit
+    end overriding the converter-derived one.
     """
-    best = None
-    for index, starts in enumerate(candidates):
-        mpp = array_mpp(emf, resistance, starts)
-        score = (
-            charger.delivered_at_mpp(mpp) if charger is not None else mpp.power_w
-        )
-        if best is None or score > best[2] or math.isnan(score):
-            best = (index, mpp, float(score))
-            if math.isnan(score):
-                break
-    return best
-
-
-def inor(
-    emf: np.ndarray,
-    resistance: np.ndarray,
-    charger: Optional[TEGCharger] = None,
-    n_min: Optional[int] = None,
-    n_max: Optional[int] = None,
-    kernel: str = "batched",
-) -> InorResult:
-    """Run Algorithm 1 on per-module Thevenin parameters.
-
-    Parameters
-    ----------
-    emf, resistance:
-        Module EMFs and internal resistances at the current
-        temperature distribution.
-    charger:
-        When given, bounds the group-count range via the converter's
-        voltage preference and ranks candidates by delivered power.
-    n_min, n_max:
-        Explicit range overrides (either may be None to use the
-        converter-derived value).
-    kernel:
-        ``"batched"`` (default) is one one-case :func:`_inor_stack_raw`
-        pass over the window; ``"scalar"`` runs the original
-        per-candidate loop (one greedy walk + one ``array_mpp`` per
-        group count).  The two are bit-identical — same cut indices,
-        same MPPs, same ranking (pinned in the test suite) — so the
-        kernel is a speed choice, never a results choice.
-
-    Raises
-    ------
-    ConfigurationError
-        If the explicit range or the kernel name is inconsistent.
-    """
-    check_inor_kernel(kernel)
     emf = np.asarray(emf, dtype=float)
     resistance = np.asarray(resistance, dtype=float)
     if emf.shape != resistance.shape or emf.ndim != 1 or emf.size == 0:
@@ -245,30 +178,89 @@ def inor(
         raise ConfigurationError(
             f"invalid group-count range [{lo}, {hi}] for {n_modules} modules"
         )
+    return emf, resistance, lo, hi
 
-    if kernel == "batched":
-        raw = _inor_stack_raw(
-            emf[None], resistance, charger, np.array([lo]), np.array([hi])
-        )
-        return _inor_result(raw, 0)
 
-    mpp_currents = emf / (2.0 * resistance)
-    candidates = [
-        greedy_balanced_partition(mpp_currents, n_groups)
-        for n_groups in range(lo, hi + 1)
-    ]
-    best_index, best_mpp, best_score = _score_candidates_scalar(
-        emf, resistance, candidates, charger
+def inor(
+    emf: np.ndarray,
+    resistance: np.ndarray,
+    charger: Optional[TEGCharger] = None,
+    n_min: Optional[int] = None,
+    n_max: Optional[int] = None,
+) -> InorResult:
+    """Run Algorithm 1 on per-module Thevenin parameters.
+
+    One one-case :func:`_inor_stack_raw` pass over the window.
+
+    Parameters
+    ----------
+    emf, resistance:
+        Module EMFs and internal resistances at the current
+        temperature distribution.
+    charger:
+        When given, bounds the group-count range via the converter's
+        voltage preference and ranks candidates by delivered power.
+    n_min, n_max:
+        Explicit range overrides (either may be None to use the
+        converter-derived value).
+
+    Raises
+    ------
+    ConfigurationError
+        If the inputs or the explicit range are inconsistent.
+    """
+    emf, resistance, lo, hi = _inor_window(
+        emf, resistance, charger, n_min, n_max
     )
+    raw = _inor_stack_raw(
+        emf[None], resistance, charger, np.array([lo]), np.array([hi])
+    )
+    return _inor_result(raw, 0)
+
+
+def _inor_scalar(
+    emf: np.ndarray,
+    resistance: np.ndarray,
+    charger: Optional[TEGCharger] = None,
+    n_min: Optional[int] = None,
+    n_max: Optional[int] = None,
+) -> InorResult:
+    """Algorithm 1 as the paper's per-candidate loop — the test oracle.
+
+    One greedy walk plus one ``array_mpp`` call per group count, after
+    the same validation and window as :func:`inor`.  No production path
+    calls it: the parity suites pin :func:`inor` and every stacked
+    caller bit-identical to it (same cut indices, same MPPs, same
+    ranking), and the INOR benchmark in ``benchmarks/`` times it
+    against :func:`inor`.  The winner follows ``np.argmax``'s rule, as
+    the batched ranking does: the first maximum wins (ties keep the
+    smallest ``n``, like the paper's ascending scan), and a NaN score
+    counts as the maximum, so the first NaN wins.
+    """
+    emf, resistance, lo, hi = _inor_window(
+        emf, resistance, charger, n_min, n_max
+    )
+    mpp_currents = emf / (2.0 * resistance)
+    best = None
+    for n_groups in range(lo, hi + 1):
+        starts = greedy_balanced_partition(mpp_currents, n_groups)
+        mpp = array_mpp(emf, resistance, starts)
+        score = (
+            charger.delivered_at_mpp(mpp) if charger is not None else mpp.power_w
+        )
+        if best is None or score > best[2] or math.isnan(score):
+            best = (starts, mpp, float(score))
+            if math.isnan(score):
+                break
+    starts, mpp, score = best
     return InorResult(
         config=ArrayConfiguration(
-            starts=tuple(int(s) for s in candidates[best_index]),
-            n_modules=n_modules,
+            starts=tuple(int(s) for s in starts), n_modules=emf.size
         ),
-        mpp=best_mpp,
-        delivered_power_w=best_score,
+        mpp=mpp,
+        delivered_power_w=score,
         n_range=(lo, hi),
-        candidates_evaluated=len(candidates),
+        candidates_evaluated=hi - lo + 1,
     )
 
 
@@ -366,12 +358,12 @@ def _inor_stack_raw(
 ):
     """The fused INOR pass, returning flat kernel-layer arrays.
 
-    The one ranking of every batched INOR caller: :func:`inor` (one
-    case), :func:`inor_stack`, :func:`repro.core.dnor.dnor_stack` and
-    the grid-stacked simulation fabric (:mod:`repro.sim.gridstack`),
-    which consumes the winner indices and
-    :class:`~repro.teg.network.PartitionStack` directly — skipping
-    per-case result-object packaging in its hot loop.  ``n_mins`` /
+    The one ranking of every INOR caller: :func:`inor` (one case),
+    :func:`repro.core.dnor.dnor_stack` and the stacked epoch step
+    :func:`repro.sim.gridstack.decide_epochs`, which consumes the
+    winner indices and :class:`~repro.teg.network.PartitionStack`
+    directly — skipping per-case result-object packaging in its hot
+    loop.  ``n_mins`` /
     ``n_maxs`` are the per-case group-count windows, derived from the
     charger by :func:`converter_aware_group_range_rows` when omitted.
 
@@ -418,42 +410,6 @@ def _inor_stack_raw(
     padded[ragged] = scores
     winners = stack.case_offsets[:-1] + np.argmax(padded, axis=1)
     return stack, power, voltage, current, scores, winners, n_mins, n_maxs
-
-
-def inor_stack(
-    emf_rows: np.ndarray,
-    resistance: np.ndarray,
-    charger: Optional[TEGCharger] = None,
-) -> Tuple[InorResult, ...]:
-    """Run Algorithm 1 for a whole homogeneous case grid at once.
-
-    The grid-stacked fused decision pass: ``emf_rows`` holds one
-    module-EMF vector per case (all cases sharing ``resistance`` and
-    ``charger`` — the homogeneous-grid precondition), and the window
-    derivation, greedy partition build, MPP evaluation and converter
-    ranking each run as *one* stacked kernel call
-    (:func:`converter_aware_group_range_rows`,
-    :func:`repro.teg.network.partition_multi_stack`,
-    :func:`repro.teg.network.array_mpp_multi_stack`) instead of one
-    :func:`inor` call per case.  Results are **bit-identical** per case
-    to ``inor(emf_rows[c], resistance, charger=charger)`` — pinned in
-    the parity suite — including the first-maximum tie rule, which the
-    per-case winner extraction preserves by ``argmax`` over a
-    ``-inf``-padded per-case score matrix.
-    """
-    emf_rows = np.asarray(emf_rows, dtype=float)
-    resistance = np.asarray(resistance, dtype=float)
-    if (
-        emf_rows.ndim != 2
-        or emf_rows.size == 0
-        or resistance.shape != (emf_rows.shape[1],)
-    ):
-        raise ConfigurationError(
-            f"emf_rows must be a non-empty (C, N) matrix with matching "
-            f"(N,) resistance, got {emf_rows.shape} and {resistance.shape}"
-        )
-    raw = _inor_stack_raw(emf_rows, resistance, charger)
-    return tuple(_inor_result(raw, c) for c in range(emf_rows.shape[0]))
 
 
 def _winner_config(stack: PartitionStack, best: int) -> ArrayConfiguration:

@@ -34,8 +34,8 @@ of gridstack's fused-group key: same policy, module electrical identity,
 array size and converter curve (plus, for DNOR, the same horizon
 geometry).  Incompatible sessions still work; they just land in separate
 groups (each its own stacked pass).  Inline-policy sessions (EHTR,
-Baseline, scalar-kernel INOR, measured-compute DNOR) never queue pending
-work and pass through the hub untouched.
+Baseline, measured-compute DNOR) never queue pending work and pass
+through the hub untouched.
 """
 
 from __future__ import annotations

@@ -22,9 +22,9 @@ be decided online exactly as the offline batch engine would decide it:
   in the stream parity suite),
 * the session's policy, built by :meth:`Scenario.make_policy`.  Once its
   rows settle, each member scans them and runs its policy in sample
-  order.  Inline sessions (EHTR, Baseline, scalar-kernel INOR,
-  measured-compute DNOR) call its ``decide`` sample by sample.  Stacked
-  sessions (batched-kernel INOR, nominal-compute DNOR) split that call:
+  order.  Inline sessions (EHTR, Baseline, measured-compute DNOR) call
+  its ``decide`` sample by sample.  Stacked sessions (every INOR
+  session, nominal-compute DNOR) split that call:
   the policy's own ``observe`` gates each sample, and every due epoch's
   kernel inputs queue as a :class:`PendingEpoch`
   (:attr:`StreamSession.pending`); the
@@ -215,10 +215,9 @@ class StreamSession:
         scanner seed, control knobs).  Only the boundary-condition
         columns arrive at runtime, via :meth:`feed`.
     policy:
-        Scheme name — ``"INOR"`` (micro-batched through the hub when
-        the scenario's kernel is batched), ``"DNOR"`` (micro-batched
-        under nominal compute accounting), ``"EHTR"`` or ``"Baseline"``
-        (driven inline).  An unknown name raises
+        Scheme name — ``"INOR"`` (micro-batched through the hub),
+        ``"DNOR"`` (micro-batched under nominal compute accounting),
+        ``"EHTR"`` or ``"Baseline"`` (driven inline).  An unknown name raises
         :class:`~repro.errors.ConfigurationError`.
     session_id:
         Stable identifier used in logs and server events.
@@ -242,11 +241,11 @@ class StreamSession:
         self._policy = scenario.make_policy(policy, refit=dnor_refit)
         self._policy.reset()
         # Stacked sessions need a stacked kernel bit-identical to the
-        # inline one: batched-kernel INOR, and DNOR under deterministic
-        # (nominal) compute accounting.  The rest decide inline.
-        self._stacked = (
-            policy == "INOR" and scenario.inor_kernel == "batched"
-        ) or (policy == "DNOR" and scenario.nominal_compute_s is not None)
+        # inline one: INOR, and DNOR under deterministic (nominal)
+        # compute accounting.  The rest decide inline.
+        self._stacked = policy == "INOR" or (
+            policy == "DNOR" and scenario.nominal_compute_s is not None
+        )
         self._sample_index = 0
         self._last_time_s = -np.inf
         self._records: List[DecisionRecord] = []

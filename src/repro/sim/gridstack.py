@@ -34,10 +34,12 @@ engine; the gate, history and commit are each lane's own policy code;
 and the stacked kernels are pinned equal lane for lane to the one-lane
 calls the serial policies make.
 
-Cases that do not fit the fused contract — EHTR, scalar-kernel INOR,
-measured (non-nominal) compute time, P&O tracking — fall back to
+Cases that do not fit the fused contract — EHTR (no stacked epoch
+kernel) and measured (non-nominal) compute time — fall back to
 :func:`repro.sim.engine.run_case` over the same shared physics, i.e.
-exactly the serial path.  Mixed grids therefore partition into
+exactly the serial path.  A P&O-tracking charger fuses like any other:
+:func:`~repro.sim.simulator.collate_lanes` steps each such lane's
+tracker on its own.  Mixed grids therefore partition into
 homogeneous fused groups plus a serial remainder instead of dropping
 wholesale to serial.
 """
@@ -63,22 +65,18 @@ __all__ = [
 def fusable_reason(case) -> Optional[str]:
     """Why ``case`` cannot join a fused group, or ``None`` if it can.
 
-    The fused pass covers the grid's hot diagonals — batched-kernel
-    INOR and DNOR (which always proposes through the batched INOR
-    pass) under deterministic (nominal) compute accounting, plus the
-    trivially stackable Baseline — and leaves every other shape to the
-    bit-identical per-case path rather than growing special cases.
+    The fused pass covers the grid's hot diagonals — INOR and DNOR
+    under deterministic (nominal) compute accounting, plus the
+    trivially stackable Baseline — and leaves the two genuinely
+    sequential shapes to the bit-identical per-case path: a policy
+    with no stacked epoch kernel (EHTR), and measured compute time,
+    which bills each case its own wall-clock.
     """
-    scenario = case.scenario
-    if not scenario.make_charger(with_battery=case.with_battery).exact_tracking:
-        return "P&O tracking is inherently sequential"
     if case.policy == "Baseline":
         return None
     if case.policy not in ("INOR", "DNOR"):
         return f"policy {case.policy!r} has no stacked epoch kernel"
-    if case.policy == "INOR" and scenario.inor_kernel != "batched":
-        return f"kernel {scenario.inor_kernel!r} is the scalar reference"
-    if scenario.nominal_compute_s is None:
+    if case.scenario.nominal_compute_s is None:
         return "measured compute time is per-case wall-clock"
     return None
 
@@ -89,8 +87,7 @@ def stack_key(scenario, policy: str) -> Tuple:
     Policy name (first: the group runners dispatch on it), array size,
     module electricals and converter curve, plus for DNOR the horizon
     geometry ``(tp_seconds, dt_s)`` of the ``dnor_stack`` homogeneity
-    contract.  DNOR always proposes through the batched INOR pass, so
-    the scenario's INOR kernel is not part of the key.
+    contract.
     """
     key: Tuple = (
         policy,

@@ -33,7 +33,6 @@ from repro.core.controller import (
     StaticPolicy,
 )
 from repro.core.dnor import DNORPlanner
-from repro.core.inor import check_inor_kernel
 from repro.core.overhead import SwitchingOverheadModel
 from repro.power.battery import LeadAcidBattery
 from repro.power.charger import TEGCharger
@@ -153,13 +152,6 @@ class Scenario:
         the batch engine's experiment grids.
     nominal_compute_s:
         Optional fixed compute time for deterministic overhead bills.
-    inor_kernel:
-        Candidate-evaluation kernel the INOR policy uses — ``"batched"``
-        (default: the vectorised build + score fast path) or
-        ``"scalar"`` (the per-candidate reference loop).  DNOR always
-        proposes through the batched INOR pass.
-        Decisions are bit-identical either way; the knob exists for
-        cross-validation and profiling (``repro batch --kernel``).
     """
 
     module: ModuleModel
@@ -172,7 +164,6 @@ class Scenario:
     sensor_seed: int = 99
     scanner_noise_std_k: float = 0.08
     nominal_compute_s: Optional[float] = None
-    inor_kernel: str = "batched"
 
     # ------------------------------------------------------------------
     # Component factories (fresh instances per run, so schemes never
@@ -276,7 +267,6 @@ class Scenario:
                 if self.nominal_compute_s is None
                 else float(self.nominal_compute_s)
             ),
-            "inor_kernel": self.inor_kernel,
         }
 
     @classmethod
@@ -285,7 +275,9 @@ class Scenario:
 
         Reads the current (v3) layout with its tagged ``"boundary"``
         and ``"module"`` envelopes; any other ``format_version`` raises
-        :class:`~repro.errors.ConfigurationError`.
+        :class:`~repro.errors.ConfigurationError`.  Keys it does not
+        read are ignored, among them the INOR kernel choice that older
+        v3 files carry (it never changed a decision).
         """
         version = data.get("format_version")
         if version != SCENARIO_FORMAT_VERSION:
@@ -315,7 +307,6 @@ class Scenario:
             sensor_seed=int(data["sensor_seed"]),
             scanner_noise_std_k=float(data["scanner_noise_std_k"]),
             nominal_compute_s=None if nominal is None else float(nominal),
-            inor_kernel=check_inor_kernel(str(data["inor_kernel"])),
         )
 
     def to_json(self, indent: Optional[int] = None) -> str:
@@ -337,7 +328,6 @@ class Scenario:
             algorithm="inor",
             period_s=self.control_period_s,
             charger=self.make_charger(with_battery=False),
-            kernel=self.inor_kernel,
         )
 
     def make_ehtr_policy(self) -> PeriodicPolicy:

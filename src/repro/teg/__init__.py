@@ -67,7 +67,6 @@ from repro.teg.network import (
     array_mpp,
     array_mpp_multi,
     array_mpp_rows,
-    array_mpp_rows_multi,
     array_thevenin,
     greedy_balanced_partition,
     module_operating_points,
@@ -115,7 +114,6 @@ __all__ = [
     "array_mpp",
     "array_mpp_multi",
     "array_mpp_rows",
-    "array_mpp_rows_multi",
     "array_thevenin",
     "bank_mpp",
     "bank_power_at_voltage",

@@ -24,8 +24,8 @@ Every batched decision kernel, one case or a stacked grid, runs one
 partition build (:func:`partition_multi_stack`, over the array passes
 of :mod:`repro.teg._partition`) and one MPP scoring core
 (:func:`_series_thevenin`); the one-case entry points
-(:func:`partition_multi`, :func:`array_mpp_multi`,
-:func:`array_mpp_rows_multi`) are one-case calls of the stacked ones.
+(:func:`partition_multi`, :func:`array_mpp_multi`) are one-case calls
+of the stacked ones.
 The scalar :func:`greedy_balanced_partition`, :func:`array_mpp` and
 :func:`array_mpp_rows` are the references they are pinned
 bit-identical against.
@@ -60,7 +60,6 @@ __all__ = [
     "array_mpp_multi",
     "array_mpp_multi_stack",
     "array_mpp_rows",
-    "array_mpp_rows_multi",
     "array_mpp_rows_multi_stack",
     "array_thevenin",
     "array_thevenin_rows",
@@ -706,33 +705,6 @@ def array_mpp_rows(
     return power, voltage
 
 
-def array_mpp_rows_multi(
-    emf_rows: np.ndarray,
-    resistance: np.ndarray,
-    starts_list: Sequence[Sequence[int]],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Exact MPP rows of *many configurations* over stacked EMF rows.
-
-    The configuration-batched sibling of :func:`array_mpp_rows`, and
-    the one-case call of :func:`array_mpp_rows_multi_stack`: every
-    configuration in ``starts_list`` is one lane over the same
-    ``(S, N)`` EMF matrix.  This is the hot path of DNOR's epoch
-    planning, which scores the old configuration and every proposal
-    over the same forecast horizon.
-
-    Returns ``(power_w, voltage_v)`` arrays of shape
-    ``(n_configs, S)``, **bit-identical** to calling
-    :func:`array_mpp_rows` once per configuration.
-    """
-    starts_list = list(starts_list)
-    return array_mpp_rows_multi_stack(
-        np.asarray(emf_rows, dtype=float)[None],
-        resistance,
-        starts_list,
-        np.zeros(len(starts_list), dtype=np.int64),
-    )
-
-
 def array_mpp_rows_multi_stack(
     emf_stack: np.ndarray,
     resistance: np.ndarray,
@@ -741,8 +713,8 @@ def array_mpp_rows_multi_stack(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Exact MPP rows of many ``(case, configuration)`` pairs at once.
 
-    The case-stacked sibling of :func:`array_mpp_rows_multi` for fused
-    decision passes over a whole case grid: ``emf_stack`` is a
+    The configuration- and case-batched sibling of :func:`array_mpp_rows`
+    for fused decision passes over a whole case grid: ``emf_stack`` is a
     ``(K, S, N)`` stack of per-case EMF matrices (all cases sharing the
     same ``(N,)`` ``resistance`` and horizon length ``S``),
     ``starts_list`` holds one configuration per evaluation lane and

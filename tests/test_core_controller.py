@@ -187,12 +187,10 @@ def _sensed_scenario(name):
     return scenario, scanner.scan_batch(physics.sensed_temps_c)
 
 
-def _kernel(scenario, policy, inputs):
+def _kernel(policy, inputs):
     """The kernel call each policy's ``decide`` makes on its inputs."""
     if policy.name == "INOR":
-        return inor(
-            *inputs, charger=policy.charger, kernel=scenario.inor_kernel
-        )
+        return inor(*inputs, charger=policy.charger)
     if policy.name == "EHTR":
         return ehtr(*inputs)
     history, ambient, new_rows = inputs
@@ -222,7 +220,7 @@ class TestObserveCommitSplit:
                     assert want is None, (name, scheme, i)
                     continue
                 fired += 1
-                got = split.commit(t, _kernel(scenario, split, inputs))
+                got = split.commit(t, _kernel(split, inputs))
                 assert got == want, (name, scheme, i)
             assert fired >= 2, (name, scheme)
 

@@ -1,6 +1,5 @@
 """Tests for repro.core.inor — Algorithm 1."""
 
-import importlib
 import struct
 
 import numpy as np
@@ -8,6 +7,7 @@ import pytest
 
 from repro.core.exhaustive import best_partition_brute_force
 from repro.core.inor import (
+    _inor_scalar,
     converter_aware_group_range,
     greedy_balanced_partition,
     inor,
@@ -16,8 +16,6 @@ from repro.errors import ConfigurationError
 from repro.power.charger import TEGCharger
 from repro.power.converter import BuckBoostConverter
 from repro.teg.network import PartitionSet, partition_multi
-
-inor_module = importlib.import_module("repro.core.inor")
 
 
 def _bits(x: float) -> bytes:
@@ -350,7 +348,7 @@ class TestInorNegativeDeltaT:
 
 
 class TestBatchedKernel:
-    """kernel="batched" must be indistinguishable from the scalar loop."""
+    """inor() must be indistinguishable from the scalar oracle loop."""
 
     def _profiles(self):
         rng = np.random.default_rng(23)
@@ -364,8 +362,8 @@ class TestBatchedKernel:
     def test_bit_identical_to_scalar_kernel(self):
         for emf, res in self._profiles():
             for charger in (None, TEGCharger()):
-                batched = inor(emf, res, charger=charger, kernel="batched")
-                scalar = inor(emf, res, charger=charger, kernel="scalar")
+                batched = inor(emf, res, charger=charger)
+                scalar = _inor_scalar(emf, res, charger=charger)
                 assert batched.config == scalar.config
                 assert batched.mpp == scalar.mpp  # exact, not approx
                 assert batched.delivered_power_w == scalar.delivered_power_w
@@ -379,8 +377,8 @@ class TestBatchedKernel:
         """Window [1, N]: every group count evaluated, kernels agree."""
         emf = 2.0 * np.exp(-np.linspace(0.0, 2.2, 30))
         res = np.full(30, 0.8)
-        batched = inor(emf, res, n_min=1, n_max=30, kernel="batched")
-        scalar = inor(emf, res, n_min=1, n_max=30, kernel="scalar")
+        batched = inor(emf, res, n_min=1, n_max=30)
+        scalar = _inor_scalar(emf, res, n_min=1, n_max=30)
         assert batched.candidates_evaluated == 30
         assert batched.config == scalar.config
         assert batched.mpp == scalar.mpp
@@ -389,23 +387,33 @@ class TestBatchedKernel:
         """n_min == n_max: a single candidate still round-trips."""
         emf = np.linspace(2.5, 0.5, 12)
         res = np.full(12, 1.1)
-        for kernel in ("batched", "scalar"):
-            result = inor(emf, res, n_min=4, n_max=4, kernel=kernel)
+        for decide in (inor, _inor_scalar):
+            result = decide(emf, res, n_min=4, n_max=4)
             assert result.candidates_evaluated == 1
             assert result.config.n_groups == 4
-        assert inor(emf, res, n_min=4, n_max=4, kernel="batched") == inor(
-            emf, res, n_min=4, n_max=4, kernel="scalar"
+        assert inor(emf, res, n_min=4, n_max=4) == _inor_scalar(
+            emf, res, n_min=4, n_max=4
         )
 
-    def test_rejects_unknown_kernel(self):
-        with pytest.raises(ConfigurationError):
-            inor(np.ones(5), np.ones(5), kernel="quantum")
-
-    def test_default_kernel_is_batched(self):
-        """The hot path default; the docstring-promised speed choice."""
-        emf = np.linspace(2.0, 0.5, 16)
-        res = np.full(16, 0.9)
-        assert inor(emf, res) == inor(emf, res, kernel="batched")
+    def test_scalar_oracle_shares_validation(self):
+        """The oracle runs inor()'s own prelude: same refusals, same
+        converter-derived window."""
+        for bad in (
+            (np.ones(5), np.ones(4)),
+            (np.ones(5), np.ones(5), None, 4, 2),
+            (np.ones(5), np.ones(5), None, 0, 3),
+        ):
+            for decide in (inor, _inor_scalar):
+                with pytest.raises(ConfigurationError):
+                    decide(*bad)
+        emf = np.linspace(2.5, 0.5, 40)
+        res = np.full(40, 1.1)
+        charger = TEGCharger()
+        assert (
+            _inor_scalar(emf, res, charger=charger).n_range
+            == inor(emf, res, charger=charger).n_range
+            == converter_aware_group_range(emf, 40, charger)
+        )
 
     def test_scalar_nan_row_without_charger_matches_batched(self):
         """A NaN module EMF makes every candidate's raw MPP power NaN;
@@ -413,7 +421,7 @@ class TestBatchedKernel:
         so it returns ``n_min`` as the batched kernel does."""
         emf = np.array([np.nan, -1.0, 2.0, 3.0])
         res = np.ones(4)
-        scalar = inor(emf, res, kernel="scalar")
+        scalar = _inor_scalar(emf, res)
         batched = inor(emf, res)
         assert scalar.config == batched.config
         assert scalar.config.n_groups == scalar.n_range[0]
@@ -441,52 +449,11 @@ class TestBatchedKernel:
             def delivered_at_mpp(self, mpp):
                 return next(self.calls)
 
-        emf = np.linspace(2.0, 1.0, len(scores))
-        candidates = [
-            np.arange(n, dtype=np.int64) for n in range(1, len(scores) + 1)
-        ]
-        index, _, score = inor_module._score_candidates_scalar(
-            emf, np.ones(len(scores)), candidates, ScriptedCharger()
+        n = len(scores)
+        result = _inor_scalar(
+            np.linspace(2.0, 1.0, n), np.ones(n), ScriptedCharger(), 1, n
         )
         want = int(np.argmax(np.array(scores)))
-        assert index == want
-        assert _bits(score) == _bits(scores[want])
-
-
-def _build_with_kernel(target, kernel):
-    """Hand ``kernel`` to one of the layers that accept a kernel name."""
-    from repro.cli import build_parser
-    from repro.core.controller import PeriodicPolicy
-    from repro.sim.scenario import Scenario, default_scenario
-    from repro.teg.datasheet import TGM_199_1_4_0_8
-
-    if target == "inor":
-        inor(np.ones(4), np.ones(4), kernel=kernel)
-    elif target == "PeriodicPolicy":
-        PeriodicPolicy(TGM_199_1_4_0_8, kernel=kernel)
-    elif target == "Scenario.from_json_dict":
-        data = default_scenario(duration_s=5.0, n_modules=9).to_json_dict()
-        Scenario.from_json_dict({**data, "inor_kernel": kernel})
-    else:
-        build_parser().parse_args(["simulate", "--kernel", kernel])
-
-
-@pytest.mark.parametrize(
-    "target",
-    [
-        "inor",
-        "PeriodicPolicy",
-        "Scenario.from_json_dict",
-        "repro simulate --kernel",
-    ],
-)
-@pytest.mark.parametrize("kernel", ["batched:numpy", "batched:numba", "fast"])
-def test_unknown_kernel_names_rejected(target, kernel, capsys):
-    """Only the names in INOR_KERNELS are accepted, and the error lists
-    them — including the removed backend-suffixed spellings."""
-    error = SystemExit if target.startswith("repro ") else ConfigurationError
-    with pytest.raises(error) as exc:
-        _build_with_kernel(target, kernel)
-    message = capsys.readouterr().err if error is SystemExit else str(exc.value)
-    assert kernel in message
-    assert "'batched'" in message and "'scalar'" in message
+        assert result.config.n_groups == want + 1
+        assert _bits(result.delivered_power_w) == _bits(scores[want])
+        assert result.candidates_evaluated == n

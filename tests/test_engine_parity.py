@@ -25,7 +25,15 @@ import pytest
 
 from repro.core.config import ArrayConfiguration
 from repro.core.dnor import DNORPlanner, thevenin_from_temps
-from repro.core.inor import converter_aware_group_range, inor
+from repro.core import controller
+from repro.core.controller import PeriodicPolicy
+from repro.core.inor import (
+    _inor_result,
+    _inor_scalar,
+    _inor_stack_raw,
+    converter_aware_group_range,
+    inor,
+)
 from repro.prediction.mlr import MLRPredictor
 from repro.teg.network import greedy_balanced_partition, partition_multi
 from repro.sim.cache import PhysicsCache
@@ -219,8 +227,8 @@ class TestDecisionKernelParity:
         scenario = scenarios[(name, "noisy")]
         charger = scenario.make_charger(with_battery=False)
         for emf, res in _scenario_emf_vectors(scenario):
-            batched = inor(emf, res, charger=charger, kernel="batched")
-            scalar = inor(emf, res, charger=charger, kernel="scalar")
+            batched = inor(emf, res, charger=charger)
+            scalar = _inor_scalar(emf, res, charger=charger)
             assert batched.config == scalar.config
             assert batched.mpp == scalar.mpp  # exact, not approx
             assert batched.delivered_power_w == scalar.delivered_power_w
@@ -259,21 +267,20 @@ class TestDecisionKernelParity:
             emf = rng.uniform(0.05, 3.0, n)
             res = rng.uniform(0.4, 3.0, n)
             for charger in (None, TEGCharger()):
-                batched = inor(emf, res, charger=charger, kernel="batched")
-                scalar = inor(emf, res, charger=charger, kernel="scalar")
+                batched = inor(emf, res, charger=charger)
+                scalar = _inor_scalar(emf, res, charger=charger)
                 assert batched == scalar
 
-    def test_full_simulation_kernel_parity(self, scenarios):
-        """An end-to-end INOR run with the scalar decision kernel must be
-        indistinguishable from the batched default.  DNOR ignores the
-        scenario kernel (it always proposes through the batched pass);
-        its proposal is pinned to inor() by test_core_dnor's
-        test_first_epoch_adopts_best_instantaneous and the inor_stack
+    def test_full_simulation_kernel_parity(self, scenarios, monkeypatch):
+        """An end-to-end INOR run deciding through the scalar oracle
+        must be indistinguishable from the production inor().  DNOR's
+        proposal is pinned to inor() by test_core_dnor's
+        test_first_epoch_adopts_best_instantaneous and the stacked
         parity tests below."""
         scenario = scenarios[("porter-ii", "noisy")]
-        scalar_scenario = dataclasses.replace(scenario, inor_kernel="scalar")
         batched = run_engine(scenario, "INOR", "batched")
-        scalar = run_engine(scalar_scenario, "INOR", "batched")
+        monkeypatch.setattr(controller, "inor", _inor_scalar)
+        scalar = run_engine(scenario, "INOR", "batched")
         for field in SERIES_FIELDS + ("n_groups_series",):
             assert np.array_equal(
                 getattr(batched, field), getattr(scalar, field)
@@ -392,39 +399,51 @@ class TestGridStackedExecutor:
             assert res_s.switch_overhead_j == res_g.switch_overhead_j
 
 
+def _stacked_inor(emf_rows, resistance, charger=None):
+    """Per-case results of the one stacked INOR ranking production runs."""
+    raw = _inor_stack_raw(emf_rows, resistance, charger)
+    return [_inor_result(raw, c) for c in range(emf_rows.shape[0])]
+
+
 class TestStackedKernelParity:
-    """``inor_stack`` over a case-stacked EMF matrix equals per-case
-    ``inor`` exactly — the grid-stacked tentpole's kernel-level pin."""
+    """The stacked INOR ranking (``_inor_stack_raw``) and the stacked
+    epoch step (``gridstack.decide_epochs``) over a case-stacked EMF
+    matrix equal per-case ``inor`` exactly — the grid-stacked
+    kernel-level pin."""
 
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     def test_inor_stack_on_registry_scenarios(self, scenarios, name):
-        from repro.core.inor import inor_stack
+        from repro.sim.gridstack import decide_epochs
 
         scenario = scenarios[(name, "noisy")]
         charger = scenario.make_charger(with_battery=False)
-        rows = []
-        resistance = None
-        for emf, res in _scenario_emf_vectors(scenario, n_rows=6):
-            rows.append(emf)
-            resistance = res
-        emf_rows = np.stack(rows)
-        stacked = inor_stack(emf_rows, resistance, charger=charger)
-        for row, result in zip(emf_rows, stacked):
-            reference = inor(row, resistance, charger=charger)
-            assert result == reference
+        inputs = list(_scenario_emf_vectors(scenario, n_rows=6))
+        emf_rows = np.stack([emf for emf, _ in inputs])
+        resistance = inputs[0][1]
+        stacked = _stacked_inor(emf_rows, resistance, charger=charger)
+        references = [
+            inor(row, resistance, charger=charger) for row in emf_rows
+        ]
+        assert stacked == references
+        policies = [
+            PeriodicPolicy(scenario.module, charger=charger) for _ in inputs
+        ]
+        rows = decide_epochs(policies, [0.0] * len(inputs), inputs)
+        for row, reference in zip(rows, references):
+            starts = np.flatnonzero(row).tolist()
+            assert starts == list(reference.config.starts)
 
     def test_inor_stack_handles_negative_current_rows(self):
         """Rows with back-biased modules exercise the fused
         accumulation-walk branch of ``partition_multi_stack``."""
-        from repro.core.inor import inor_stack
-
         rng = np.random.default_rng(77)
         n = 12
         emf_rows = rng.uniform(-0.6, 2.5, size=(9, n))
         resistance = rng.uniform(0.5, 2.0, n)
-        stacked = inor_stack(emf_rows, resistance)
+        stacked = _stacked_inor(emf_rows, resistance)
         for row, result in zip(emf_rows, stacked):
             assert result == inor(row, resistance)
+            assert result == _inor_scalar(row, resistance)
 
 
 class TestRandomizedTraceFuzz:

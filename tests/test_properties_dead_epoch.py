@@ -4,11 +4,11 @@ A case whose every candidate provably delivers 0.0 W is built and scored
 on ``[n_min, n_min]`` only (``repro.core.inor._proven_dead``).  These
 pins hold the shortcut to the full pass bit for bit: ``inor()`` against
 the same pass with the proof switched off and against the scalar
-reference loop, and every stacked caller (``inor_stack``,
-``dnor_stack``) lane for lane against ``inor()``.  They cover rows the
-proof fires on (all-negative, weak), rows where it must not fire
-(mixed-sign dead rows whose bound fails, NaN rows, a zero quiescent
-power, no charger) and stacks mixing dead and live lanes.
+reference loop ``_inor_scalar``, and every stacked caller
+(``_inor_stack_raw``, ``dnor_stack``) lane for lane against ``inor()``.
+They cover rows the proof fires on (all-negative, weak), rows where it
+must not fire (mixed-sign dead rows whose bound fails, NaN rows, a zero
+quiescent power, no charger) and stacks mixing dead and live lanes.
 """
 
 import importlib
@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.dnor import DNORPlanner, dnor_stack
-from repro.core.inor import inor, inor_stack
+from repro.core.inor import _inor_result, _inor_scalar, _inor_stack_raw, inor
 from repro.core.overhead import SwitchingOverheadModel
 from repro.power.charger import TEGCharger
 from repro.power.converter import BuckBoostConverter
@@ -121,7 +121,7 @@ class TestInorAgainstFullPass:
         emf, res = case
         charger = _charger()
         got = inor(emf, res, charger=charger)
-        want = inor(emf, res, charger=charger, kernel="scalar")
+        want = _inor_scalar(emf, res, charger=charger)
         assert_same_result(got, want)
 
     @given(chain(), st.data())
@@ -133,9 +133,7 @@ class TestInorAgainstFullPass:
         hi = data.draw(st.integers(lo, n))
         charger = _charger()
         got = inor(emf, res, charger=charger, n_min=lo, n_max=hi)
-        want = inor(
-            emf, res, charger=charger, n_min=lo, n_max=hi, kernel="scalar"
-        )
+        want = _inor_scalar(emf, res, charger=charger, n_min=lo, n_max=hi)
         assert_same_result(got, want)
         assert got.candidates_evaluated == hi - lo + 1
 
@@ -148,14 +146,14 @@ class TestInorAgainstFullPass:
         charger = _charger(quiescent_w=0.0)
         assert not _proven(emf, res, charger)
         got = inor(emf, res, charger=charger)
-        want = inor(emf, res, charger=charger, kernel="scalar")
+        want = _inor_scalar(emf, res, charger=charger)
         assert_same_result(got, want)
 
     @given(chain())
     @settings(max_examples=60, deadline=None)
     def test_no_charger(self, case):
         emf, res = case
-        assert_same_result(inor(emf, res), inor(emf, res, kernel="scalar"))
+        assert_same_result(inor(emf, res), _inor_scalar(emf, res))
 
 
 class TestProofScope:
@@ -210,7 +208,9 @@ class TestStackedLanes:
     def test_inor_stack_lanes_equal_inor(self, case):
         rows, res = case
         charger = _charger()
-        for c, got in enumerate(inor_stack(rows, res, charger=charger)):
+        raw = _inor_stack_raw(rows, res, charger)
+        for c in range(rows.shape[0]):
+            got = _inor_result(raw, c)
             assert_same_result(got, inor(rows[c], res, charger=charger), c)
 
     @given(

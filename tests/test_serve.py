@@ -82,8 +82,8 @@ class TestOnlineOfflineParity:
         _assert_logs_equal(online, offline, f"DNOR {refit} chunk={chunk}")
 
     def test_dnor_session_is_micro_batched(self):
-        """Registry DNOR (batched kernel + nominal compute) queues
-        epochs for the hub instead of planning inline."""
+        """Registry DNOR (nominal compute) queues epochs for the hub
+        instead of planning inline."""
         scenario = build_named_scenario(
             "porter-ii", duration_s=6.0, n_modules=9
         )
@@ -92,21 +92,6 @@ class TestOnlineOfflineParity:
         session.feed_trace(scenario.trace, 0, scenario.trace.n_samples)
         assert session.pending
         assert not session.records
-
-    def test_scalar_kernel_dnor_is_micro_batched(self):
-        """DNOR always proposes through the batched INOR pass, so the
-        scenario's INOR kernel does not keep a DNOR session inline."""
-        scenario = dataclasses.replace(
-            build_named_scenario("porter-ii", duration_s=20.0, n_modules=9),
-            inor_kernel="scalar",
-        )
-        session = StreamSession(scenario, "DNOR", "scalar-dnor")
-        assert session.micro_batched
-        _assert_logs_equal(
-            _stream_through_hub(scenario, "DNOR", 7),
-            offline_decision_log(scenario, "DNOR"),
-            "scalar-kernel DNOR",
-        )
 
     def test_measured_compute_dnor_runs_inline(self):
         """Without nominal compute accounting there is no deterministic
@@ -121,19 +106,18 @@ class TestOnlineOfflineParity:
         assert not session.pending
         assert session.records
 
-    def test_scalar_kernel_inor_runs_inline(self):
-        scenario = build_named_scenario(
-            "porter-ii", duration_s=10.0, n_modules=9
+    def test_measured_compute_inor_is_micro_batched(self):
+        """Every INOR session stacks: an INOR decision never depends on
+        the compute bill, so measured compute keeps it in the hub."""
+        scenario = dataclasses.replace(
+            build_named_scenario("porter-ii", duration_s=10.0, n_modules=9),
+            nominal_compute_s=None,
         )
-        scalar = dataclasses.replace(scenario, inor_kernel="scalar")
-        session = StreamSession(scalar, "INOR", "inline")
-        assert not session.micro_batched
-        trace = scalar.trace
-        session.feed_trace(trace, 0, trace.n_samples)
+        assert StreamSession(scenario, "INOR", "measured").micro_batched
         _assert_logs_equal(
-            session.records,
-            offline_decision_log(scalar, "INOR"),
-            "scalar inline",
+            _stream_through_hub(scenario, "INOR", 7),
+            offline_decision_log(scenario, "INOR"),
+            "measured-compute INOR",
         )
 
 

@@ -17,6 +17,7 @@ import pytest
 
 from repro.core.controller import PeriodicPolicy
 from repro.errors import SimulationError
+from repro.power.battery import LeadAcidBattery
 from repro.power.charger import TEGCharger
 from repro.sim import gridstack
 from repro.sim.engine import EXECUTORS, ExperimentRunner, grid_cases, run_case
@@ -54,7 +55,8 @@ class _PerturbObserveScenario:
         return getattr(self._scenario, name)
 
     def make_charger(self, with_battery=True):
-        return TEGCharger(exact_tracking=False)
+        battery = LeadAcidBattery() if with_battery else None
+        return TEGCharger(battery=battery, exact_tracking=False)
 
 
 class TestFusableReason:
@@ -69,36 +71,42 @@ class TestFusableReason:
         reason = fusable_reason(_case(scenario, policy="EHTR"))
         assert reason is not None and "EHTR" in reason
 
-    def test_scalar_kernel_does_not_fuse(self, scenario):
-        reason = fusable_reason(_case(scenario, inor_kernel="scalar"))
-        assert reason is not None and "scalar" in reason
-
-    def test_scalar_kernel_dnor_fuses(self, scenario):
-        """DNOR always proposes through the batched INOR pass; the
-        scalar-kernel fallback is INOR's alone."""
-        case = _case(scenario, policy="DNOR", inor_kernel="scalar")
-        assert fusable_reason(case) is None
-        cases = grid_cases(
-            [case.scenario], ["DNOR"], scanner_noise_std_k=[0.02, 0.08]
-        )
-        stacked = ExperimentRunner(cases, executor="gridstack").run()
-        serial = ExperimentRunner(cases, executor="serial").run()
-        for (_, r1), (_, r2) in zip(serial, stacked):
-            a, b = r1.delivered_power_w, r2.delivered_power_w
-            assert a.tobytes() == b.tobytes()
-            assert r1.overhead_events == r2.overhead_events
-
     def test_measured_compute_time_does_not_fuse(self, scenario):
         reason = fusable_reason(_case(scenario, nominal_compute_s=None))
         assert reason is not None and "compute" in reason
 
-    def test_perturb_observe_tracking_does_not_fuse(self, scenario):
-        case = _case(scenario)
-        case = dataclasses.replace(
-            case, scenario=_PerturbObserveScenario(case.scenario)
-        )
-        reason = fusable_reason(case)
-        assert reason is not None and "P&O" in reason
+    def test_perturb_observe_group_fuses(self, scenario):
+        """P&O tracking is per lane in the one electrical tail, so P&O
+        INOR, DNOR and Baseline groups fuse, with or without a battery,
+        and decide bit for bit like the serial executor."""
+        cases = [
+            dataclasses.replace(
+                case,
+                scenario=_PerturbObserveScenario(case.scenario),
+                with_battery=k < 3,
+            )
+            for k, case in enumerate(
+                grid_cases(
+                    [scenario],
+                    ["INOR", "DNOR", "Baseline"],
+                    scanner_noise_std_k=[0.02, 0.08],
+                )
+            )
+        ]
+        for case in cases:
+            assert fusable_reason(case) is None
+        stacked = ExperimentRunner(cases, executor="gridstack").run()
+        serial = ExperimentRunner(cases, executor="serial").run()
+        for case in cases:
+            a, b = serial[case.name], stacked[case.name]
+            for field in dataclasses.fields(a):
+                if field.name == "runtime_s":
+                    continue  # measured wall-clock, not a decision
+                want, got = getattr(a, field.name), getattr(b, field.name)
+                if isinstance(want, np.ndarray):
+                    assert want.tobytes() == got.tobytes(), field.name
+                else:
+                    assert want == got, field.name
 
 
 def _policy_firings(scenario, time_s, period):

@@ -115,7 +115,6 @@ class TestScenarioJsonRoundTrip:
         assert rebuilt.sensor_seed == scenario.sensor_seed
         assert rebuilt.scanner_noise_std_k == scenario.scanner_noise_std_k
         assert rebuilt.nominal_compute_s == scenario.nominal_compute_s
-        assert rebuilt.inor_kernel == scenario.inor_kernel
 
     def test_radiator_models_survive(self):
         scenario = build_named_scenario("industrial-boiler", duration_s=20.0)
@@ -155,6 +154,26 @@ class TestScenarioJsonRoundTrip:
             data["format_version"] = version
             with pytest.raises(ConfigurationError, match="reads version 3"):
                 Scenario.from_json_dict(data)
+
+    def test_dropped_inor_kernel_key_is_ignored(self, scenario):
+        """v3 scenarios and shard manifests written while the INOR
+        kernel was still an option carry an ``"inor_kernel"`` key; it
+        loads, decides bit-identically, and is no longer written."""
+        data = scenario.to_json_dict()
+        assert "inor_kernel" not in data
+        old = Scenario.from_json_dict({**data, "inor_kernel": "scalar"})
+        new = Scenario.from_json_dict(data)
+        assert "inor_kernel" not in old.to_json_dict()
+        a = old.make_simulator().run(
+            old.make_inor_policy(), old.make_charger()
+        )
+        b = new.make_simulator().run(
+            new.make_inor_policy(), new.make_charger()
+        )
+        for field in DETERMINISTIC_FIELDS:
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+        assert a.switch_times_s == b.switch_times_s
+        assert a.overhead_events == b.overhead_events
 
     def test_strict_json(self, scenario):
         json.loads(scenario.to_json())  # strict parse, no NaN tokens

@@ -333,6 +333,17 @@ class TestArrayMppMulti:
             network.array_mpp_multi(np.ones(9), np.ones(9), ps)
 
 
+def _rows_multi(emf_rows, resistance, configs):
+    """Many configurations over one case's EMF rows: the one-case call
+    of ``array_mpp_rows_multi_stack``."""
+    return network.array_mpp_rows_multi_stack(
+        np.asarray(emf_rows)[None],
+        resistance,
+        configs,
+        np.zeros(len(configs), np.int64),
+    )
+
+
 class TestArrayMppRowsMulti:
     """Configuration x time-sample batching for DNOR's epoch planner."""
 
@@ -341,7 +352,7 @@ class TestArrayMppRowsMulti:
         emf_rows = rng.uniform(0.1, 3.0, (6, 20))
         res = np.full(20, 1.1)
         configs = [[0], [0, 5, 10, 15], list(range(20)), [0, 7]]
-        power, voltage = network.array_mpp_rows_multi(emf_rows, res, configs)
+        power, voltage = _rows_multi(emf_rows, res, configs)
         assert power.shape == (4, 6)
         for k, starts in enumerate(configs):
             p_ref, v_ref = network.array_mpp_rows(emf_rows, res, starts)
@@ -349,17 +360,13 @@ class TestArrayMppRowsMulti:
             assert np.array_equal(voltage[k], v_ref)
 
     def test_empty_config_list(self):
-        power, voltage = network.array_mpp_rows_multi(
-            np.ones((3, 5)), np.ones(5), []
-        )
+        power, voltage = _rows_multi(np.ones((3, 5)), np.ones(5), [])
         assert power.shape == (0, 3)
         assert voltage.shape == (0, 3)
 
     def test_rejects_invalid_config(self):
         with pytest.raises(ConfigurationError):
-            network.array_mpp_rows_multi(
-                np.ones((3, 5)), np.ones(5), [[0], [1, 2]]
-            )
+            _rows_multi(np.ones((3, 5)), np.ones(5), [[0], [1, 2]])
 
 
 class TestPartitionSetIndexing:
@@ -514,9 +521,7 @@ class TestSingleCandidateNoTile:
         rng = np.random.default_rng(22)
         emf_rows = rng.uniform(0.1, 3.0, (7, 12))
         res = rng.uniform(0.5, 2.0, 12)
-        power, voltage = network.array_mpp_rows_multi(
-            emf_rows, res, [[0, 3, 6, 9]]
-        )
+        power, voltage = _rows_multi(emf_rows, res, [[0, 3, 6, 9]])
         p_ref, v_ref = network.array_mpp_rows(emf_rows, res, [0, 3, 6, 9])
         assert power[0].tobytes() == p_ref.tobytes()
         assert voltage[0].tobytes() == v_ref.tobytes()
@@ -583,7 +588,7 @@ class TestScoringCore:
         emf, res, candidates = chain
         configs = list(candidates[0])[::8] + [[0], list(range(self.N))]
         rows = emf[2, 4 - n_rows:]
-        power, voltage = network.array_mpp_rows_multi(rows, res, configs)
+        power, voltage = _rows_multi(rows, res, configs)
         assert power.shape == voltage.shape == (len(configs), n_rows)
         for k, starts in enumerate(configs):
             p_ref, v_ref = network.array_mpp_rows(rows, res, starts)
